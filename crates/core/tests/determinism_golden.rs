@@ -13,8 +13,8 @@
 //! ```
 
 use faasflow_core::{
-    ClientConfig, Cluster, ClusterConfig, FaultPlan, NetFault, NodeCrash, RunReport, ScheduleMode,
-    StorageFault, StorageFaultKind,
+    BackoffPolicy, ClientConfig, Cluster, ClusterConfig, EngineCrash, EngineTarget, FaultPlan,
+    JournalConfig, NetFault, NodeCrash, RunReport, ScheduleMode, StorageFault, StorageFaultKind,
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
@@ -126,13 +126,115 @@ fn open_loop_report() -> RunReport {
     cluster.report()
 }
 
+/// Scenario 4a: journaled MasterSP whose central engine crashes into a
+/// storage blackout. The restart backs off against the dark journal store
+/// until the retry budget runs out, then boots journal-blind and
+/// dead-letters the unwitnessed admissions as `JournalUnrecoverable`; a
+/// second crash after the blackout replays the journal normally.
+fn master_engine_recovery_report() -> RunReport {
+    let fault = FaultPlan {
+        engine_crashes: vec![
+            EngineCrash {
+                target: EngineTarget::Master,
+                at: SimDuration::from_millis(1_500),
+                restart_after: SimDuration::from_millis(200),
+            },
+            EngineCrash {
+                target: EngineTarget::Master,
+                at: SimDuration::from_secs(6),
+                restart_after: SimDuration::from_millis(300),
+            },
+        ],
+        storage_faults: vec![StorageFault {
+            at: SimDuration::from_millis(1_400),
+            duration: SimDuration::from_secs(2),
+            kind: StorageFaultKind::Blackout,
+        }],
+        backoff: BackoffPolicy {
+            max_attempts: 3,
+            ..BackoffPolicy::default()
+        },
+        ..FaultPlan::default()
+    };
+    let config = ClusterConfig {
+        mode: ScheduleMode::MasterSp,
+        faastore: false,
+        workers: 4,
+        fault,
+        journal: JournalConfig {
+            enabled: true,
+            ..JournalConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    cluster
+        .register(
+            &word_count(),
+            ClientConfig::OpenLoop {
+                per_minute: 240.0,
+                invocations: 40,
+            },
+        )
+        .expect("registers");
+    cluster.run_until_idle();
+    cluster.report()
+}
+
+/// Scenario 4b: journaled WorkerSP with two worker-engine crashes. The
+/// second engine's host node also crashes and restarts while the engine is
+/// down, so the node restart (not the engine's own restart) ends that
+/// outage.
+fn worker_engine_recovery_report() -> RunReport {
+    let fault = FaultPlan {
+        engine_crashes: vec![
+            EngineCrash {
+                target: EngineTarget::Worker(0),
+                at: SimDuration::from_millis(800),
+                restart_after: SimDuration::from_millis(400),
+            },
+            EngineCrash {
+                target: EngineTarget::Worker(2),
+                at: SimDuration::from_secs(2),
+                restart_after: SimDuration::from_secs(6),
+            },
+        ],
+        node_crashes: vec![NodeCrash {
+            worker: 2,
+            at: SimDuration::from_secs(3),
+            restart_after: Some(SimDuration::from_secs(1)),
+        }],
+        ..FaultPlan::default()
+    };
+    let config = ClusterConfig {
+        mode: ScheduleMode::WorkerSp,
+        faastore: true,
+        workers: 4,
+        fault,
+        journal: JournalConfig {
+            enabled: true,
+            ..JournalConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    cluster
+        .register(&word_count(), ClientConfig::ClosedLoop { invocations: 12 })
+        .expect("registers");
+    cluster
+        .register(&genome(), ClientConfig::ClosedLoop { invocations: 8 })
+        .expect("registers");
+    cluster.run_until_idle();
+    cluster.report()
+}
+
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.json"))
 }
 
-fn check(name: &str, report: &RunReport) {
+fn check(name: &str, report: &impl serde::Serialize) {
     let rendered = serde_json::to_string_pretty(report).expect("report serializes");
     let path = golden_path(name);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
@@ -163,6 +265,21 @@ fn golden_master_sp_faults() {
 #[test]
 fn golden_open_loop() {
     check("open_loop", &open_loop_report());
+}
+
+#[test]
+fn golden_engine_recovery() {
+    let master = master_engine_recovery_report();
+    let worker = worker_engine_recovery_report();
+    // Guard the scenario's reach: it must keep exercising replay backoff,
+    // the journal-blind dead-letter path and both worker-engine outages.
+    assert!(master.recovery.replay_backoffs > 0);
+    assert!(master.faults.dead_letter_journal_unrecoverable > 0);
+    assert!(master.recovery.journal_replays > 0);
+    assert_eq!(worker.recovery.worker_engine_crashes, 2);
+    assert_eq!(worker.recovery.engine_recoveries, 2);
+    assert!(worker.recovery.journal_replays > 0);
+    check("engine_recovery", &vec![master, worker]);
 }
 
 /// Same seed twice in-process must also be bit-identical (guards against
