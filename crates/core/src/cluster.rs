@@ -40,11 +40,12 @@ use faasflow_wdl::{DagParser, NodeKind, ParserConfig, Workflow, WorkflowDag};
 
 use crate::config::{ClientConfig, ClusterConfig, ReclamationMode, ScheduleMode};
 use crate::degrade::{AdmitDecision, DegradeController, DegradeTransition};
+use crate::engine_slot::EngineSlot;
 use crate::error::ClusterError;
 use crate::fault::{DeadLetterReason, EngineTarget, GrayFaultKind, StorageFaultKind};
 use crate::health::{HealthDetector, HealthReport, HealthTransition};
 use crate::invocation::{InstanceState, InstanceToken, InvState};
-use crate::journal::{Journal, JournalRecord, TerminalOutcome};
+use crate::journal::{JournalRecord, TerminalOutcome};
 use crate::metrics::{
     DistributionRow, FaultReport, LoopProfile, OverloadReport, PlacementReport, RecoveryReport,
     RunReport, WorkerUtilization, WorkflowMetrics,
@@ -285,18 +286,17 @@ enum Event {
     },
     /// Fault plan: `engine_crashes[idx]` kills its scheduling engine.
     EngineCrash { idx: usize },
-    /// The supervisor restarts a crashed engine (`target: None` = the
-    /// central MasterSP engine, `Some(w)` = worker `w`'s engine): attempt
-    /// to read the journal back, backing off while the store is blacked
-    /// out. `era` fences chains orphaned by a second crash mid-recovery.
+    /// The supervisor restarts a crashed engine: attempt to read the
+    /// journal back, backing off while the store is blacked out. `era`
+    /// fences chains orphaned by a second crash mid-recovery.
     EngineRestart {
-        target: Option<usize>,
+        target: EngineTarget,
         attempt: u32,
         era: u32,
     },
     /// Journal replay finished; the engine reconciles with cluster-visible
     /// progress and resumes.
-    EngineRecovered { target: Option<usize>, era: u32 },
+    EngineRecovered { target: EngineTarget, era: u32 },
     /// Fault plan: `gray_faults[idx]` window opens.
     GrayFaultStart { idx: usize },
     /// Fault plan: `gray_faults[idx]` window closes.
@@ -502,30 +502,9 @@ pub struct Cluster {
     /// Only touched when `hedge.adaptive` is set, so fixed-delay and
     /// hedge-off runs are bit-identical to builds without it.
     hedge_estimators: HashMap<(WorkflowId, FunctionId), P2Quantile>,
-    /// MasterSP central engine liveness (false between a crash and the end
-    /// of recovery). Messages reaching a down engine are lost.
-    master_engine_down: bool,
-    /// Master engine generation: bumped at each completed recovery; stale
-    /// stamps fence pre-recovery messages.
-    master_engine_gen: u64,
-    /// Master engine era: bumped at each crash; fences restart/recovery
-    /// chains orphaned by a second crash mid-recovery.
-    master_engine_era: u32,
-    /// Instant the master engine went down (downtime accounting).
-    master_down_since: SimTime,
-    /// The master journal could not be read back during the last recovery.
-    master_journal_unreadable: bool,
-    /// The central engine's write-ahead journal (MasterSP; also witnesses
-    /// gateway-side admissions and terminal outcomes in both modes).
-    master_journal: Journal,
-    /// Per-worker engine liveness/fencing mirrors of the master fields.
-    worker_engine_down: Vec<bool>,
-    worker_engine_gen: Vec<u64>,
-    worker_engine_era: Vec<u32>,
-    worker_down_since: Vec<SimTime>,
-    worker_journal_unreadable: Vec<bool>,
-    /// Per-worker engine journals (WorkerSP).
-    worker_journals: Vec<Journal>,
+    /// Crash/recovery state of every scheduling engine, indexed by
+    /// [`EngineTarget::slot`].
+    engine_slots: Vec<EngineSlot>,
     /// Engine-crash/recovery accounting (journal sums are folded in at
     /// report time).
     recovery: RecoveryReport,
@@ -667,19 +646,8 @@ impl Cluster {
             breaker: config.overload.breaker.map(CircuitBreaker::new),
             hedges: HashMap::new(),
             hedge_estimators: HashMap::new(),
-            master_engine_down: false,
-            master_engine_gen: 0,
-            master_engine_era: 0,
-            master_down_since: SimTime::ZERO,
-            master_journal_unreadable: false,
-            master_journal: Journal::new(config.journal),
-            worker_engine_down: vec![false; config.workers as usize],
-            worker_engine_gen: vec![0; config.workers as usize],
-            worker_engine_era: vec![0; config.workers as usize],
-            worker_down_since: vec![SimTime::ZERO; config.workers as usize],
-            worker_journal_unreadable: vec![false; config.workers as usize],
-            worker_journals: (0..config.workers)
-                .map(|_| Journal::new(config.journal))
+            engine_slots: (0..=config.workers)
+                .map(|_| EngineSlot::new(config.journal))
                 .collect(),
             recovery: RecoveryReport::default(),
             overload: OverloadReport::default(),
@@ -1231,37 +1199,14 @@ impl Cluster {
             .sum::<u64>()
             + self.master_engine.live_invocations() as u64;
         let mut recovery = self.recovery;
-        recovery.journal_appends = self.master_journal.append_count()
-            + self
-                .worker_journals
-                .iter()
-                .map(|j| j.append_count())
-                .sum::<u64>();
-        recovery.journal_lost_appends = self.master_journal.lost_count()
-            + self
-                .worker_journals
-                .iter()
-                .map(|j| j.lost_count())
-                .sum::<u64>();
-        recovery.journal_replays = self.master_journal.replay_count()
-            + self
-                .worker_journals
-                .iter()
-                .map(|j| j.replay_count())
-                .sum::<u64>();
-        recovery.journal_replayed_records = self.master_journal.replayed_record_count()
-            + self
-                .worker_journals
-                .iter()
-                .map(|j| j.replayed_record_count())
-                .sum::<u64>();
-        // Engines still down at snapshot time contribute partial downtime.
-        if self.master_engine_down {
-            recovery.engine_downtime_secs += (now - self.master_down_since).as_secs_f64();
-        }
-        for w in 0..self.worker_engine_down.len() {
-            if self.worker_engine_down[w] {
-                recovery.engine_downtime_secs += (now - self.worker_down_since[w]).as_secs_f64();
+        for slot in &self.engine_slots {
+            recovery.journal_appends += slot.journal.append_count();
+            recovery.journal_lost_appends += slot.journal.lost_count();
+            recovery.journal_replays += slot.journal.replay_count();
+            recovery.journal_replayed_records += slot.journal.replayed_record_count();
+            // Engines still down at snapshot time contribute partial downtime.
+            if slot.down {
+                recovery.engine_downtime_secs += (now - slot.down_since).as_secs_f64();
             }
         }
         RunReport {
@@ -1502,9 +1447,10 @@ impl Cluster {
                 inv,
                 epoch,
             } => {
-                if self.worker_engine_down[worker] {
-                    self.recovery.messages_lost += 1;
-                } else if self.worker_alive[worker] && self.epoch_alive(wf, inv, epoch) {
+                if !self.engine_drops(EngineTarget::worker(worker), None)
+                    && self.worker_alive[worker]
+                    && self.epoch_alive(wf, inv, epoch)
+                {
                     self.pin_engine_invocation(worker, wf, inv);
                     let actions = self.worker_engines[worker].begin_invocation(wf, inv);
                     self.apply_worker_actions(now, worker, actions);
@@ -1517,9 +1463,10 @@ impl Cluster {
                 completed,
                 epoch,
             } => {
-                if self.worker_engine_down[worker] {
-                    self.recovery.messages_lost += 1;
-                } else if self.worker_alive[worker] && self.epoch_alive(wf, inv, epoch) {
+                if !self.engine_drops(EngineTarget::worker(worker), None)
+                    && self.worker_alive[worker]
+                    && self.epoch_alive(wf, inv, epoch)
+                {
                     self.pin_engine_invocation(worker, wf, inv);
                     let actions = self.worker_engines[worker].on_state_sync(wf, inv, completed);
                     self.apply_worker_actions(now, worker, actions);
@@ -1561,9 +1508,7 @@ impl Cluster {
                 }
             }
             Event::MasterArrive { msg, gen } => {
-                if self.master_engine_down || gen != self.master_engine_gen {
-                    self.recovery.messages_lost += 1;
-                } else {
+                if !self.engine_drops(EngineTarget::Master, Some(gen)) {
                     self.master_inbox.push_back(msg);
                     self.try_start_master(now);
                 }
@@ -1576,9 +1521,10 @@ impl Cluster {
                 function,
                 epoch,
             } => {
-                if self.worker_engine_down[worker] {
-                    self.recovery.messages_lost += 1;
-                } else if self.worker_alive[worker] && self.epoch_alive(wf, inv, epoch) {
+                if !self.engine_drops(EngineTarget::worker(worker), None)
+                    && self.worker_alive[worker]
+                    && self.epoch_alive(wf, inv, epoch)
+                {
                     if let Some(state) = self.invocations.get_mut(&(wf, inv)) {
                         if !state.completed_nodes.insert(function) {
                             // Replay already re-derived this virtual node's
@@ -1587,21 +1533,7 @@ impl Cluster {
                             return;
                         }
                     }
-                    let was_done = self.worker_engines[worker].node_done(wf, inv, function);
-                    let actions =
-                        self.worker_engines[worker].on_instance_complete(wf, inv, function);
-                    if !was_done && self.worker_engines[worker].node_done(wf, inv, function) {
-                        self.journal_append_worker(
-                            now,
-                            worker,
-                            JournalRecord::NodeDone {
-                                workflow: wf,
-                                invocation: inv,
-                                function,
-                            },
-                        );
-                    }
-                    self.apply_worker_actions(now, worker, actions);
+                    self.worker_node_complete(now, worker, wf, inv, function);
                 }
             }
             Event::InstanceReady {
@@ -1658,30 +1590,15 @@ impl Cluster {
             }
             Event::ExecDone { worker, token, seq } => self.on_exec_done(now, worker, token, seq),
             Event::WorkerInstanceDone { worker, token, gen } => {
-                if self.worker_engine_down[worker] || gen != self.worker_engine_gen[worker] {
-                    // Engine down or message predates the last recovery; the
-                    // completion was already reflected in the cluster-side
-                    // instance counts the replay seeded from.
-                    self.recovery.messages_lost += 1;
-                } else if self.worker_alive[worker]
+                // A fenced completion (engine down, or the message predates
+                // the last recovery) was already reflected in the
+                // cluster-side instance counts the replay seeded from.
+                if !self.engine_drops(EngineTarget::worker(worker), Some(gen))
+                    && self.worker_alive[worker]
                     && self.epoch_alive(token.workflow, token.invocation, token.epoch)
                 {
                     let (wf, inv, function) = (token.workflow, token.invocation, token.function);
-                    let was_done = self.worker_engines[worker].node_done(wf, inv, function);
-                    let actions =
-                        self.worker_engines[worker].on_instance_complete(wf, inv, function);
-                    if !was_done && self.worker_engines[worker].node_done(wf, inv, function) {
-                        self.journal_append_worker(
-                            now,
-                            worker,
-                            JournalRecord::NodeDone {
-                                workflow: wf,
-                                invocation: inv,
-                                function,
-                            },
-                        );
-                    }
-                    self.apply_worker_actions(now, worker, actions);
+                    self.worker_node_complete(now, worker, wf, inv, function);
                 }
             }
             Event::FlowTick => {
@@ -1956,8 +1873,9 @@ impl Cluster {
                 // Write-ahead: the admission is durable before the engine
                 // sees it, so an engine crash before the Begin drains still
                 // leaves a recoverable journal record.
-                self.journal_append_master(
+                self.journal_append(
                     now,
+                    EngineTarget::Master,
                     JournalRecord::Admitted {
                         workflow: wf,
                         invocation: inv,
@@ -1974,7 +1892,7 @@ impl Cluster {
                     now,
                     Event::MasterArrive {
                         msg: MasterInbox::Begin { wf, inv },
-                        gen: self.master_engine_gen,
+                        gen: self.engine_slot(EngineTarget::Master).gen,
                     },
                 );
             }
@@ -2033,9 +1951,9 @@ impl Cluster {
         entry_workers.sort_unstable();
         entry_workers.dedup();
         for worker in entry_workers {
-            self.journal_append_worker(
+            self.journal_append(
                 now,
-                worker,
+                EngineTarget::worker(worker),
                 JournalRecord::Admitted {
                     workflow: wf,
                     invocation: inv,
@@ -2140,8 +2058,9 @@ impl Cluster {
         // Terminal outcomes are journaled gateway-side in both modes: the
         // exactly-once guarantee is that each invocation gets one (and only
         // one) Terminal record.
-        self.journal_append_master(
+        self.journal_append(
             now,
+            EngineTarget::Master,
             JournalRecord::Terminal {
                 workflow: wf,
                 invocation: inv,
@@ -2366,13 +2285,13 @@ impl Cluster {
         self.queue.schedule(
             now + self.config.master_task_cost,
             Event::MasterDone {
-                gen: self.master_engine_gen,
+                gen: self.engine_slot(EngineTarget::Master).gen,
             },
         );
     }
 
     fn on_master_done(&mut self, now: SimTime, gen: u64) {
-        if self.master_engine_down || gen != self.master_engine_gen {
+        if self.engine_slot(EngineTarget::Master).fences(Some(gen)) {
             // The engine crashed while this task was processing; the work
             // (and the inbox slot it held) died with the volatile state.
             return;
@@ -2395,8 +2314,9 @@ impl Cluster {
                     let was_done = self.master_engine.node_done(wf, inv, function);
                     let actions = self.master_engine.on_state_return(wf, inv, function);
                     if !was_done && self.master_engine.node_done(wf, inv, function) {
-                        self.journal_append_master(
+                        self.journal_append(
                             now,
+                            EngineTarget::Master,
                             JournalRecord::NodeDone {
                                 workflow: wf,
                                 invocation: inv,
@@ -2459,8 +2379,9 @@ impl Cluster {
                         .config
                         .worker_index(worker)
                         .expect("assignments target workers");
-                    self.journal_append_master(
+                    self.journal_append(
                         now,
+                        EngineTarget::Master,
                         JournalRecord::Dispatched {
                             workflow,
                             invocation,
@@ -2494,6 +2415,34 @@ impl Cluster {
     // Worker engines (WorkerSP)
     // ==================================================================
 
+    /// One of `function`'s instances (or a virtual node) finished, as heard
+    /// by `worker`'s engine. The node's completion is journaled the moment
+    /// the engine first sees it done.
+    fn worker_node_complete(
+        &mut self,
+        now: SimTime,
+        worker: usize,
+        wf: WorkflowId,
+        inv: InvocationId,
+        function: FunctionId,
+    ) {
+        let engine = &mut self.worker_engines[worker];
+        let was_done = engine.node_done(wf, inv, function);
+        let actions = engine.on_instance_complete(wf, inv, function);
+        if !was_done && engine.node_done(wf, inv, function) {
+            self.journal_append(
+                now,
+                EngineTarget::worker(worker),
+                JournalRecord::NodeDone {
+                    workflow: wf,
+                    invocation: inv,
+                    function,
+                },
+            );
+        }
+        self.apply_worker_actions(now, worker, actions);
+    }
+
     fn apply_worker_actions(&mut self, now: SimTime, worker: usize, actions: Vec<WorkerAction>) {
         for action in actions {
             match action {
@@ -2520,9 +2469,9 @@ impl Cluster {
                             },
                         );
                     } else {
-                        self.journal_append_worker(
+                        self.journal_append(
                             now,
-                            worker,
+                            EngineTarget::worker(worker),
                             JournalRecord::Dispatched {
                                 workflow,
                                 invocation,
@@ -2538,9 +2487,9 @@ impl Cluster {
                     invocation,
                     completed,
                 } => {
-                    self.journal_append_worker(
+                    self.journal_append(
                         now,
-                        worker,
+                        EngineTarget::worker(worker),
                         JournalRecord::StateSynced {
                             workflow,
                             invocation,
@@ -2677,7 +2626,7 @@ impl Cluster {
                             epoch,
                             attempt,
                         },
-                        gen: self.master_engine_gen,
+                        gen: self.engine_slot(EngineTarget::Master).gen,
                     },
                 );
             }
@@ -3729,7 +3678,7 @@ impl Cluster {
                     Event::WorkerInstanceDone {
                         worker: home,
                         token,
-                        gen: self.worker_engine_gen[home],
+                        gen: self.engine_slot(EngineTarget::worker(home)).gen,
                     },
                 );
             }
@@ -3744,7 +3693,7 @@ impl Cluster {
                             inv: token.invocation,
                             function: token.function,
                         },
-                        gen: self.master_engine_gen,
+                        gen: self.engine_slot(EngineTarget::Master).gen,
                     },
                 );
             }
@@ -3800,18 +3749,12 @@ impl Cluster {
         let _ = self.faastores[w].crash();
         // WorkerSP: the engine process dies too. Node-crash recovery is the
         // partition-level path (lease expiry → redeploy → epoch-bump
-        // restarts), not journal replay — but in-flight journal appends
-        // from the dying engine are torn, and if an injected engine crash
-        // already had the engine down, its pending restart chain is now
-        // moot: bump the era to fence it (the node restart, if any, brings
-        // the engine back).
+        // restarts), not journal replay; the node restart, if any, brings
+        // the engine back.
         if self.config.mode == ScheduleMode::WorkerSp {
-            self.worker_engines[w] = WorkerEngine::new(node);
-            self.reinstall_worker_engine(w);
-            let _torn = self.worker_journals[w].crash(now);
-            if self.worker_engine_down[w] {
-                self.worker_engine_era[w] += 1;
-            }
+            let target = EngineTarget::worker(w);
+            self.reset_engine(target);
+            self.engine_slot_mut(target).host_crash(now);
         }
         // Orphan every instance the node was running, booting, or queueing.
         let mut orphaned = std::mem::take(&mut self.scratch.tokens);
@@ -3929,15 +3872,11 @@ impl Cluster {
             } else {
                 self.redeploy_all();
             }
-            // The node restart brings the engine process back with it.
-            if self.worker_engine_down[w] {
-                self.worker_engine_down[w] = false;
-                self.worker_engine_gen[w] += 1;
-                self.worker_engine_era[w] += 1;
-                self.worker_journal_unreadable[w] = false;
-                self.recovery.engine_recoveries += 1;
-                self.recovery.engine_downtime_secs +=
-                    (now - self.worker_down_since[w]).as_secs_f64();
+            // The node restart brings the engine process back with it,
+            // blank: nothing is replayed.
+            let target = EngineTarget::worker(w);
+            if self.engine_slot(target).down {
+                self.end_engine_outage(now, target, 0);
             }
         }
         // MasterSP: assignments that arrived while the node was dead but
@@ -4126,69 +4065,88 @@ impl Cluster {
     // Engine crash injection & journaled recovery
     // ==================================================================
 
-    /// Write-ahead append to the gateway/master journal, exposed to the
-    /// remote store's fault state: a blackout loses the append outright, a
+    fn engine_slot(&self, target: EngineTarget) -> &EngineSlot {
+        &self.engine_slots[target.slot()]
+    }
+
+    fn engine_slot_mut(&mut self, target: EngineTarget) -> &mut EngineSlot {
+        &mut self.engine_slots[target.slot()]
+    }
+
+    /// The node hosting `target`'s engine (`None`: the central engine).
+    fn engine_node(&self, target: EngineTarget) -> Option<NodeId> {
+        match target {
+            EngineTarget::Master => None,
+            EngineTarget::Worker(w) => Some(self.config.worker_node(w)),
+        }
+    }
+
+    /// The engine's host node is up (the master node never dies).
+    fn engine_host_alive(&self, target: EngineTarget) -> bool {
+        match target {
+            EngineTarget::Master => true,
+            EngineTarget::Worker(w) => self.worker_alive[w as usize],
+        }
+    }
+
+    /// Delivery fence for a message to `target`'s engine (see
+    /// [`EngineSlot::fences`]); a dropped message counts as lost.
+    fn engine_drops(&mut self, target: EngineTarget, gen: Option<u64>) -> bool {
+        let dropped = self.engine_slot(target).fences(gen);
+        if dropped {
+            self.recovery.messages_lost += 1;
+        }
+        dropped
+    }
+
+    /// Write-ahead append to an engine's journal, exposed to the remote
+    /// store's fault state: a blackout loses the append outright, a
     /// brownout stretches its time-to-durable.
-    fn journal_append_master(&mut self, now: SimTime, rec: JournalRecord) {
-        if !self.master_journal.enabled() {
+    fn journal_append(&mut self, now: SimTime, target: EngineTarget, rec: JournalRecord) {
+        let (down, slowdown) = (self.storage_down, self.storage_slowdown);
+        let journal = &mut self.engine_slot_mut(target).journal;
+        if !journal.enabled() {
             return;
         }
-        if self.storage_down {
-            self.master_journal.append_lost();
+        if down {
+            journal.append_lost();
         } else {
-            self.master_journal.append(now, self.storage_slowdown, rec);
+            journal.append(now, slowdown, rec);
         }
     }
 
-    /// Write-ahead append to one worker engine's journal (WorkerSP).
-    fn journal_append_worker(&mut self, now: SimTime, w: usize, rec: JournalRecord) {
-        if !self.worker_journals[w].enabled() {
-            return;
+    /// Wipes an engine's volatile state — the trigger trackers, and for
+    /// the central engine its inbox and in-service task — and re-registers
+    /// every workflow's current deployment. Workflow contexts are
+    /// control-plane config, re-read at boot.
+    fn reset_engine(&mut self, target: EngineTarget) {
+        match target {
+            EngineTarget::Master => {
+                self.master_inbox.clear();
+                self.master_current = None;
+                self.master_engine = MasterEngine::new();
+            }
+            EngineTarget::Worker(w) => {
+                self.worker_engines[w as usize] = WorkerEngine::new(self.config.worker_node(w));
+            }
         }
-        if self.storage_down {
-            self.worker_journals[w].append_lost();
-        } else {
-            self.worker_journals[w].append(now, self.storage_slowdown, rec);
-        }
-    }
-
-    /// Re-registers every workflow's current deployment on a freshly wiped
-    /// central engine. Workflow contexts are control-plane config (re-read
-    /// at boot); only the per-invocation trigger trackers are volatile.
-    fn reinstall_master_engine(&mut self) {
-        let mut wfs: Vec<WorkflowId> = self.workflows.keys().copied().collect();
-        wfs.sort_unstable();
-        for wf in wfs {
-            let ws = &self.workflows[&wf];
-            let Some((version, _)) = ws.deployment.current() else {
-                continue;
-            };
-            let assignment = ws
-                .deployment
-                .assignment_arc(version)
-                .expect("current version has an assignment");
-            let dag = ws.dag_arc.clone();
-            let seed = ws.arm_seed;
-            self.master_engine.install(wf, dag, assignment, seed);
-        }
-    }
-
-    /// Worker-engine counterpart of [`Self::reinstall_master_engine`].
-    fn reinstall_worker_engine(&mut self, w: usize) {
-        let mut wfs: Vec<WorkflowId> = self.workflows.keys().copied().collect();
-        wfs.sort_unstable();
-        for wf in wfs {
-            let ws = &self.workflows[&wf];
-            let Some((version, _)) = ws.deployment.current() else {
-                continue;
-            };
-            let assignment = ws
-                .deployment
-                .assignment_arc(version)
-                .expect("current version has an assignment");
-            let dag = ws.dag_arc.clone();
-            let seed = ws.arm_seed;
-            self.worker_engines[w].install(wf, dag, assignment, seed);
+        let mut current: Vec<_> = self
+            .workflows
+            .iter()
+            .filter_map(|(&wf, ws)| {
+                let (version, _) = ws.deployment.current()?;
+                let assignment = ws.deployment.assignment_arc(version)?;
+                Some((wf, ws.dag_arc.clone(), assignment, ws.arm_seed))
+            })
+            .collect();
+        current.sort_unstable_by_key(|&(wf, ..)| wf);
+        for (wf, dag, assignment, seed) in current {
+            match target {
+                EngineTarget::Master => self.master_engine.install(wf, dag, assignment, seed),
+                EngineTarget::Worker(w) => {
+                    self.worker_engines[w as usize].install(wf, dag, assignment, seed)
+                }
+            }
         }
     }
 
@@ -4200,64 +4158,37 @@ impl Cluster {
     /// just can't reach the dead engine).
     fn on_engine_crash(&mut self, now: SimTime, idx: usize) {
         let crash = self.config.fault.engine_crashes[idx];
-        match crash.target {
-            EngineTarget::Master => {
-                if self.master_engine_down {
-                    return; // overlapping outages collapse into one
-                }
-                self.recovery.engine_crashes += 1;
-                self.recovery.master_engine_crashes += 1;
-                self.master_engine_down = true;
-                self.master_down_since = now;
-                self.master_engine_era += 1;
-                let era = self.master_engine_era;
-                self.master_inbox.clear();
-                self.master_current = None;
-                self.master_engine = MasterEngine::new();
-                self.reinstall_master_engine();
-                let _torn = self.master_journal.crash(now);
-                self.tracer.record(|| TraceEvent::EngineCrashed {
-                    worker: None,
-                    at: now,
-                });
-                self.queue.schedule(
-                    now + crash.restart_after,
-                    Event::EngineRestart {
-                        target: None,
-                        attempt: 0,
-                        era,
-                    },
-                );
-            }
-            EngineTarget::Worker(w) => {
-                let w = w as usize;
-                if self.worker_engine_down[w] || !self.worker_alive[w] {
-                    return; // already down, or the whole node is dead
-                }
-                self.recovery.engine_crashes += 1;
-                self.recovery.worker_engine_crashes += 1;
-                self.worker_engine_down[w] = true;
-                self.worker_down_since[w] = now;
-                self.worker_engine_era[w] += 1;
-                let era = self.worker_engine_era[w];
-                let node = self.config.worker_node(w as u32);
-                self.worker_engines[w] = WorkerEngine::new(node);
-                self.reinstall_worker_engine(w);
-                let _torn = self.worker_journals[w].crash(now);
-                self.tracer.record(|| TraceEvent::EngineCrashed {
-                    worker: Some(node),
-                    at: now,
-                });
-                self.queue.schedule(
-                    now + crash.restart_after,
-                    Event::EngineRestart {
-                        target: Some(w),
-                        attempt: 0,
-                        era,
-                    },
-                );
-            }
+        let target = crash.target;
+        if self.engine_slot(target).down || !self.engine_host_alive(target) {
+            // Overlapping outages collapse into one; a dead node's engine
+            // is already gone.
+            return;
         }
+        self.recovery.engine_crashes += 1;
+        match target {
+            EngineTarget::Master => self.recovery.master_engine_crashes += 1,
+            EngineTarget::Worker(_) => self.recovery.worker_engine_crashes += 1,
+        }
+        self.reset_engine(target);
+        let era = self.engine_slot_mut(target).crash(now);
+        let worker = self.engine_node(target);
+        self.tracer
+            .record(|| TraceEvent::EngineCrashed { worker, at: now });
+        self.queue.schedule(
+            now + crash.restart_after,
+            Event::EngineRestart {
+                target,
+                attempt: 0,
+                era,
+            },
+        );
+    }
+
+    /// A restart/recovery step of `target`'s engine in `era` is still
+    /// current: the engine is down in that outage and its host is up.
+    fn engine_outage_current(&self, target: EngineTarget, era: u32) -> bool {
+        let slot = self.engine_slot(target);
+        slot.down && slot.era == era && self.engine_host_alive(target)
     }
 
     /// The crashed engine process comes back up and tries to read its
@@ -4265,144 +4196,91 @@ impl Cluster {
     /// (bounded by the plan's retry budget, after which the engine boots
     /// journal-blind); otherwise replay costs time proportional to the
     /// durable log. `era` fences chains orphaned by a second crash.
-    fn on_engine_restart(&mut self, now: SimTime, target: Option<usize>, attempt: u32, era: u32) {
-        match target {
-            None => {
-                if !self.master_engine_down || era != self.master_engine_era {
-                    return;
-                }
-                if self.master_journal.enabled() && self.storage_down {
-                    if attempt >= self.config.fault.backoff.max_attempts {
-                        self.master_journal_unreadable = true;
-                    } else {
-                        self.recovery.replay_backoffs += 1;
-                        let delay = self.config.fault.backoff.delay(attempt, &mut self.rng);
-                        self.queue.schedule(
-                            now + delay,
-                            Event::EngineRestart {
-                                target,
-                                attempt: attempt + 1,
-                                era,
-                            },
-                        );
-                        return;
-                    }
-                }
-                let cost = if self.master_journal.enabled() && !self.master_journal_unreadable {
-                    self.master_journal.begin_replay(self.storage_slowdown)
-                } else {
-                    SimDuration::ZERO
-                };
-                self.queue
-                    .schedule(now + cost, Event::EngineRecovered { target, era });
-            }
-            Some(w) => {
-                if !self.worker_engine_down[w]
-                    || era != self.worker_engine_era[w]
-                    || !self.worker_alive[w]
-                {
-                    return;
-                }
-                if self.worker_journals[w].enabled() && self.storage_down {
-                    if attempt >= self.config.fault.backoff.max_attempts {
-                        self.worker_journal_unreadable[w] = true;
-                    } else {
-                        self.recovery.replay_backoffs += 1;
-                        let delay = self.config.fault.backoff.delay(attempt, &mut self.rng);
-                        self.queue.schedule(
-                            now + delay,
-                            Event::EngineRestart {
-                                target,
-                                attempt: attempt + 1,
-                                era,
-                            },
-                        );
-                        return;
-                    }
-                }
-                let cost =
-                    if self.worker_journals[w].enabled() && !self.worker_journal_unreadable[w] {
-                        self.worker_journals[w].begin_replay(self.storage_slowdown)
-                    } else {
-                        SimDuration::ZERO
-                    };
-                self.queue
-                    .schedule(now + cost, Event::EngineRecovered { target, era });
+    fn on_engine_restart(&mut self, now: SimTime, target: EngineTarget, attempt: u32, era: u32) {
+        if !self.engine_outage_current(target, era) {
+            return;
+        }
+        if self.engine_slot(target).journal.enabled() && self.storage_down {
+            if attempt >= self.config.fault.backoff.max_attempts {
+                self.engine_slot_mut(target).journal_unreadable = true;
+            } else {
+                self.recovery.replay_backoffs += 1;
+                let delay = self.config.fault.backoff.delay(attempt, &mut self.rng);
+                self.queue.schedule(
+                    now + delay,
+                    Event::EngineRestart {
+                        target,
+                        attempt: attempt + 1,
+                        era,
+                    },
+                );
+                return;
             }
         }
+        let slowdown = self.storage_slowdown;
+        let slot = self.engine_slot_mut(target);
+        let cost = if slot.readable() {
+            slot.journal.begin_replay(slowdown)
+        } else {
+            SimDuration::ZERO
+        };
+        self.queue
+            .schedule(now + cost, Event::EngineRecovered { target, era });
     }
 
-    /// Replay finished: the engine rejoins under a bumped generation (so
-    /// completion messages sent to the previous incarnation are fenced) and
-    /// reconciles every live invocation.
-    fn on_engine_recovered(&mut self, now: SimTime, target: Option<usize>, era: u32) {
-        match target {
-            None => {
-                if !self.master_engine_down || era != self.master_engine_era {
-                    return;
-                }
-                self.master_engine_down = false;
-                self.master_engine_gen += 1;
-                self.recovery.engine_recoveries += 1;
-                self.recovery.engine_downtime_secs += (now - self.master_down_since).as_secs_f64();
-                let replayed = if self.master_journal.enabled() && !self.master_journal_unreadable {
-                    self.master_journal.durable_len() as u64
-                } else {
-                    0
-                };
-                self.tracer.record(|| TraceEvent::EngineRecovered {
-                    worker: None,
-                    replayed,
-                    at: now,
-                });
-                self.recover_master_engine(now);
-                self.master_journal_unreadable = false;
-            }
-            Some(w) => {
-                if !self.worker_engine_down[w]
-                    || era != self.worker_engine_era[w]
-                    || !self.worker_alive[w]
-                {
-                    return;
-                }
-                self.worker_engine_down[w] = false;
-                self.worker_engine_gen[w] += 1;
-                self.recovery.engine_recoveries += 1;
-                self.recovery.engine_downtime_secs +=
-                    (now - self.worker_down_since[w]).as_secs_f64();
-                let node = self.config.worker_node(w as u32);
-                let replayed =
-                    if self.worker_journals[w].enabled() && !self.worker_journal_unreadable[w] {
-                        self.worker_journals[w].durable_len() as u64
-                    } else {
-                        0
-                    };
-                self.tracer.record(|| TraceEvent::EngineRecovered {
-                    worker: Some(node),
-                    replayed,
-                    at: now,
-                });
-                self.recover_worker_engine(now, w);
-                self.worker_journal_unreadable[w] = false;
-            }
+    /// Replay finished: the engine rejoins and reconciles every live
+    /// invocation.
+    fn on_engine_recovered(&mut self, now: SimTime, target: EngineTarget, era: u32) {
+        if !self.engine_outage_current(target, era) {
+            return;
         }
+        let replayed = self.engine_slot(target).replayed_len();
+        self.end_engine_outage(now, target, replayed);
+        self.recover_engine(now, target);
     }
 
-    /// Post-recovery reconciliation for the central engine. For each live
-    /// invocation: if neither cluster-visible progress nor a durable
-    /// journal record witnesses it, its `Begin` died in the volatile inbox
-    /// — dead-letter it (exactly one terminal outcome). Otherwise rebuild
-    /// the trigger tracker from worker-reported ground truth
-    /// (`completed_nodes` / `instances_remaining` already reflect every
-    /// completion, including those whose report messages are still in
-    /// flight and will be generation-fenced) and re-issue dispatches; the
-    /// receiver-side `dispatched` / `reported_exits` sets suppress
-    /// anything that already landed, so nothing runs or counts twice.
-    fn recover_master_engine(&mut self, now: SimTime) {
+    /// `target`'s engine is back up (see [`EngineSlot::revive`]), closing
+    /// its downtime window. `replayed` is the journal records it read back.
+    fn end_engine_outage(&mut self, now: SimTime, target: EngineTarget, replayed: u64) {
+        let downtime = self.engine_slot_mut(target).revive(now);
+        self.recovery.engine_recoveries += 1;
+        self.recovery.engine_downtime_secs += downtime.as_secs_f64();
+        let worker = self.engine_node(target);
+        self.tracer.record(|| TraceEvent::EngineRecovered {
+            worker,
+            replayed,
+            at: now,
+        });
+    }
+
+    /// Post-recovery reconciliation for one engine. For each live
+    /// invocation the engine schedules: if neither cluster-visible progress
+    /// nor a durable journal record witnesses it, its `Begin` died with the
+    /// engine's volatile state — dead-letter it (exactly one terminal
+    /// outcome). Otherwise rebuild the trigger tracker from worker-reported
+    /// ground truth (`completed_nodes` / `instances_remaining` already
+    /// reflect every completion, including those whose report messages are
+    /// still in flight and will be generation-fenced) and re-issue
+    /// dispatches; the receiver-side `dispatched` / `reported_exits` sets
+    /// suppress anything that already landed, so nothing runs or counts
+    /// twice.
+    ///
+    /// A worker engine only considers invocations whose current deployment
+    /// routes work to its node, replays only the in-flight nodes it hosts,
+    /// and dead-letters only when it hosts an entry node — a
+    /// begun-elsewhere invocation with its `Begin` still in flight to a
+    /// healthy peer must not be killed by an uninvolved engine's sweep.
+    fn recover_engine(&mut self, now: SimTime, target: EngineTarget) {
+        let node = self.engine_node(target);
+        let slot = self.engine_slot(target);
+        let readable = slot.readable();
+        let lost_reason = if slot.journal_unreadable {
+            DeadLetterReason::JournalUnrecoverable
+        } else {
+            DeadLetterReason::CrashOrphan
+        };
         let mut keys: Vec<(WorkflowId, InvocationId)> = self.invocations.keys().copied().collect();
         keys.sort_unstable();
-        let journal_on = self.master_journal.enabled();
-        let readable = journal_on && !self.master_journal_unreadable;
         for (wf, inv) in keys {
             let Some(state) = self.invocations.get(&(wf, inv)) else {
                 continue;
@@ -4410,114 +4288,40 @@ impl Cluster {
             if state.completed {
                 continue;
             }
-            let progress = !state.instances.is_empty()
-                || !state.completed_nodes.is_empty()
-                || !state.instances_remaining.is_empty()
-                || !state.dispatched.is_empty();
-            let mentioned = readable && self.master_journal.mentions(wf, inv);
-            if !progress && !mentioned {
-                let reason = if journal_on && self.master_journal_unreadable {
-                    DeadLetterReason::JournalUnrecoverable
-                } else {
-                    DeadLetterReason::CrashOrphan
-                };
-                self.dead_letter_invocation(now, wf, inv, reason);
-                continue;
-            }
-            let state = &self.invocations[&(wf, inv)];
-            let mut completed: Vec<FunctionId> = state.completed_nodes.iter().copied().collect();
-            completed.sort_unstable();
-            let mut inflight: Vec<(FunctionId, u32)> = Vec::new();
-            for (&f, &remaining) in &state.instances_remaining {
-                if remaining > 0 && !state.completed_nodes.contains(&f) {
-                    let parallelism = state.dag.node(f).parallelism.max(1);
-                    inflight.push((f, parallelism - remaining));
-                }
-            }
-            inflight.sort_unstable();
-            let already_propagated: Vec<FunctionId> = completed
-                .iter()
-                .copied()
-                .filter(|&f| readable && self.master_journal.node_done_recorded(wf, inv, f))
-                .collect();
-            let actions = self.master_engine.replay_invocation(
-                wf,
-                inv,
-                &completed,
-                &already_propagated,
-                &inflight,
-            );
-            self.apply_master_actions(now, actions);
-        }
-    }
-
-    /// Post-recovery reconciliation for one worker engine (WorkerSP). Only
-    /// invocations whose pinned assignment routes work to this worker are
-    /// considered, and the no-evidence dead-letter applies only when this
-    /// worker hosts an entry node — a begun-elsewhere invocation with its
-    /// `Begin` still in flight to a healthy peer must not be killed by an
-    /// uninvolved engine's sweep.
-    fn recover_worker_engine(&mut self, now: SimTime, w: usize) {
-        let node = self.config.worker_node(w as u32);
-        let journal_on = self.worker_journals[w].enabled();
-        let readable = journal_on && !self.worker_journal_unreadable[w];
-        let mut keys: Vec<(WorkflowId, InvocationId)> = self.invocations.keys().copied().collect();
-        keys.sort_unstable();
-        for (wf, inv) in keys {
-            let Some(state) = self.invocations.get(&(wf, inv)) else {
-                continue;
-            };
             // Route by the *installed* deployment, not the invocation's
             // pinned assignment: the replaying engine was reinstalled with
             // the current version, and its replay actions follow it — a
             // sweep judging involvement by a stale pin would skip (or
             // kill) invocations the engine actually schedules.
-            let Some((_, assignment)) = self
-                .workflows
-                .get(&wf)
-                .and_then(|ws| ws.deployment.current())
-            else {
-                continue;
-            };
-            if state.completed || !assignment.involves(node) {
-                continue;
-            }
-            let progress = !state.instances.is_empty()
-                || !state.completed_nodes.is_empty()
-                || !state.instances_remaining.is_empty()
-                || !state.dispatched.is_empty();
-            let mentioned = readable && self.worker_journals[w].mentions(wf, inv);
-            if !progress && !mentioned {
-                let hosts_entry = state
-                    .dag
-                    .entry_nodes()
-                    .iter()
-                    .any(|&e| assignment.worker_of(e) == node);
-                if hosts_entry {
-                    let reason = if journal_on && self.worker_journal_unreadable[w] {
-                        DeadLetterReason::JournalUnrecoverable
-                    } else {
-                        DeadLetterReason::CrashOrphan
-                    };
-                    self.dead_letter_invocation(now, wf, inv, reason);
-                }
-                continue;
-            }
-            let state = &self.invocations[&(wf, inv)];
             let assignment = self
                 .workflows
                 .get(&wf)
                 .and_then(|ws| ws.deployment.current())
-                .expect("checked above")
-                .1;
+                .map(|(_, a)| a);
+            if node.is_some_and(|n| !assignment.is_some_and(|a| a.involves(n))) {
+                continue;
+            }
+            // The engine schedules function `f`.
+            let hosts = |f: FunctionId| {
+                node.is_none_or(|n| assignment.is_some_and(|a| a.worker_of(f) == n))
+            };
+            let progress = !state.instances.is_empty()
+                || !state.completed_nodes.is_empty()
+                || !state.instances_remaining.is_empty()
+                || !state.dispatched.is_empty();
+            let journal = &self.engine_slot(target).journal;
+            let mentioned = readable && journal.mentions(wf, inv);
+            if !progress && !mentioned {
+                if state.dag.entry_nodes().iter().any(|&e| hosts(e)) {
+                    self.dead_letter_invocation(now, wf, inv, lost_reason);
+                }
+                continue;
+            }
             let mut completed: Vec<FunctionId> = state.completed_nodes.iter().copied().collect();
             completed.sort_unstable();
             let mut inflight: Vec<(FunctionId, u32)> = Vec::new();
             for (&f, &remaining) in &state.instances_remaining {
-                if remaining > 0
-                    && !state.completed_nodes.contains(&f)
-                    && assignment.worker_of(f) == node
-                {
+                if remaining > 0 && !state.completed_nodes.contains(&f) && hosts(f) {
                     let parallelism = state.dag.node(f).parallelism.max(1);
                     inflight.push((f, parallelism - remaining));
                 }
@@ -4526,16 +4330,31 @@ impl Cluster {
             let already_propagated: Vec<FunctionId> = completed
                 .iter()
                 .copied()
-                .filter(|&f| readable && self.worker_journals[w].node_done_recorded(wf, inv, f))
+                .filter(|&f| readable && journal.node_done_recorded(wf, inv, f))
                 .collect();
-            let actions = self.worker_engines[w].replay_invocation(
-                wf,
-                inv,
-                &completed,
-                &already_propagated,
-                &inflight,
-            );
-            self.apply_worker_actions(now, w, actions);
+            match target {
+                EngineTarget::Master => {
+                    let actions = self.master_engine.replay_invocation(
+                        wf,
+                        inv,
+                        &completed,
+                        &already_propagated,
+                        &inflight,
+                    );
+                    self.apply_master_actions(now, actions);
+                }
+                EngineTarget::Worker(w) => {
+                    let w = w as usize;
+                    let actions = self.worker_engines[w].replay_invocation(
+                        wf,
+                        inv,
+                        &completed,
+                        &already_propagated,
+                        &inflight,
+                    );
+                    self.apply_worker_actions(now, w, actions);
+                }
+            }
         }
     }
 
@@ -4691,8 +4510,9 @@ impl Cluster {
                         self.health_stats.quarantine_orphans += 1;
                     }
                 }
-                self.journal_append_master(
+                self.journal_append(
                     now,
+                    EngineTarget::Master,
                     JournalRecord::Terminal {
                         workflow: wf,
                         invocation: inv,
@@ -4717,8 +4537,9 @@ impl Cluster {
                     // `overload.shed`).
                     self.overload.shed += 1;
                 }
-                self.journal_append_master(
+                self.journal_append(
                     now,
+                    EngineTarget::Master,
                     JournalRecord::Terminal {
                         workflow: wf,
                         invocation: inv,

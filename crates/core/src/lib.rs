@@ -41,6 +41,7 @@
 pub mod cluster;
 pub mod config;
 pub mod degrade;
+mod engine_slot;
 pub mod error;
 pub mod fault;
 pub mod health;

@@ -16,8 +16,9 @@
 
 use faasflow_core::{
     ClientConfig, Cluster, ClusterConfig, EngineCrash, EngineTarget, FaultPlan, JournalConfig,
-    RunReport, ScheduleMode, StorageFault, StorageFaultKind, TraceEvent,
+    NodeCrash, RunReport, ScheduleMode, StorageFault, StorageFaultKind, TraceEvent,
 };
+use faasflow_obs::downtime_windows;
 use faasflow_sim::{SimDuration, SimTime};
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
 
@@ -45,30 +46,35 @@ struct Scenario {
 }
 
 fn run(s: Scenario) -> (RunReport, Vec<TraceEvent>) {
+    let fault = FaultPlan {
+        engine_crashes: s.crashes,
+        storage_faults: s.storage_faults,
+        ..FaultPlan::default()
+    };
+    run_plan(s.mode, fault, s.journal, s.invocations)
+}
+
+fn run_plan(
+    mode: ScheduleMode,
+    fault: FaultPlan,
+    journal: bool,
+    invocations: u32,
+) -> (RunReport, Vec<TraceEvent>) {
     let mut cluster = Cluster::new(ClusterConfig {
-        mode: s.mode,
-        faastore: s.mode == ScheduleMode::WorkerSp,
+        mode,
+        faastore: mode == ScheduleMode::WorkerSp,
         workers: 3,
         trace: true,
-        fault: FaultPlan {
-            engine_crashes: s.crashes,
-            storage_faults: s.storage_faults,
-            ..FaultPlan::default()
-        },
+        fault,
         journal: JournalConfig {
-            enabled: s.journal,
+            enabled: journal,
             ..JournalConfig::default()
         },
         ..ClusterConfig::default()
     })
     .expect("valid config");
     cluster
-        .register(
-            &workflow(),
-            ClientConfig::ClosedLoop {
-                invocations: s.invocations,
-            },
-        )
+        .register(&workflow(), ClientConfig::ClosedLoop { invocations })
         .expect("registers");
     let end = cluster.run_until_idle();
     assert!(end > SimTime::ZERO);
@@ -325,6 +331,46 @@ fn worker_sp_crash_without_journal_still_terminates_everything() {
     });
     assert_exactly_once(&report);
     assert_eq!(report.recovery.journal_appends, 0);
+}
+
+#[test]
+fn node_restart_closes_a_worker_engine_outage() {
+    // The engine dies with a restart far in the future; its host node then
+    // crashes and comes back first. The node restart brings the engine
+    // back with it, so the outage window must close at that instant — not
+    // stay open to the end of the trace and eat the control time after it.
+    let fault = FaultPlan {
+        engine_crashes: vec![EngineCrash {
+            target: EngineTarget::Worker(1),
+            at: ms(100),
+            restart_after: ms(5_000),
+        }],
+        node_crashes: vec![NodeCrash {
+            worker: 1,
+            at: ms(300),
+            restart_after: Some(ms(500)),
+        }],
+        ..FaultPlan::default()
+    };
+    let (report, trace) = run_plan(ScheduleMode::WorkerSp, fault, true, 6);
+    assert_exactly_once(&report);
+    let r = &report.recovery;
+    assert_eq!(r.worker_engine_crashes, 1);
+    assert_eq!(r.engine_recoveries, 1);
+    let restarted = SimTime::ZERO + ms(800);
+    assert!(trace.iter().any(|e| matches!(
+        e,
+        TraceEvent::EngineRecovered {
+            worker: Some(_),
+            replayed: 0,
+            at,
+        } if *at == restarted
+    )));
+    let horizon = SimTime::ZERO + SimDuration::from_secs(3_600);
+    assert_eq!(
+        downtime_windows(&trace, horizon),
+        vec![(SimTime::ZERO + ms(100), restarted)]
+    );
 }
 
 #[test]
