@@ -42,6 +42,7 @@
 //! *shape* — who wins, by what factor, where crossovers fall — is the
 //! reproduction target. Paper values are printed alongside for comparison.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use faasflow_bench::{mb, parallel_map, rule, run_colocated_with_distribution, run_one, Drive};
@@ -49,12 +50,13 @@ use faasflow_core::{
     ClientConfig, Cluster, ClusterConfig, EngineCrash, EngineTarget, FaultPlan, JournalConfig,
     NetFault, NodeCrash, ScheduleMode, StorageFault, StorageFaultKind,
 };
+use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_scheduler::{
     ContentionSet, GraphScheduler, PartitionConfig, PlacementConfig, PlacementStrategy,
     RuntimeMetrics, WorkerInfo, WorkerLoad,
 };
 use faasflow_sim::SimDuration;
-use faasflow_sim::{NodeId, SimRng};
+use faasflow_sim::{InvocationId, NodeId, SimRng, WorkflowId};
 use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
 use faasflow_workloads::{scientific, without_data, Benchmark};
 
@@ -2293,7 +2295,7 @@ fn median_us(reps: usize, mut f: impl FnMut() -> u64) -> f64 {
 }
 
 /// The paper's storage topology: 1 storage node at 50 MB/s + 7 workers at
-/// 10 Gbit/s (mirrors `benches/flownet.rs`).
+/// 10 Gbit/s.
 fn storage_cluster() -> Vec<faasflow_net::NicSpec> {
     let mut nics = vec![faasflow_net::NicSpec::symmetric(50e6)];
     nics.extend(std::iter::repeat_n(
@@ -2303,12 +2305,14 @@ fn storage_cluster() -> Vec<faasflow_net::NicSpec> {
     nics
 }
 
-/// Hot-path microbenchmarks (DES event queue, flow network, end-to-end
-/// invocation cost), printed as a table and emitted to `BENCH_kernel.json`.
-/// Event-queue and flow-network baselines run the preserved pre-overhaul
-/// implementations (`faasflow_bench::legacy`) live in this process.
+/// Hot-path microbenchmarks (DES event queue, flow network, partitioning,
+/// end-to-end invocation cost, WorkerSP vs MasterSP engines), printed as a
+/// table and emitted to `BENCH_kernel.json`. Event-queue and flow-network
+/// baselines run the preserved pre-overhaul implementations
+/// (`faasflow_bench::legacy`) live in this process.
 fn perf(quick: bool) {
     use faasflow_bench::legacy::{LegacyEventQueue, LegacyFlowNet};
+    use faasflow_net::FlowNet;
     use faasflow_sim::{EventQueue, SimTime};
 
     println!("\n=== Perf: hot-path microbenchmarks (baseline = pre-overhaul code) ===");
@@ -2325,6 +2329,23 @@ fn perf(quick: bool) {
             });
         };
 
+    // The pre-overhaul types in `faasflow_bench::legacy` keep the current
+    // API, so each live row's workload is written once: `$body` runs with
+    // `$v` bound to the legacy implementation, then to the current one.
+    macro_rules! live_row {
+        ($name:expr, $v:ident = $legacy:expr, $current:expr => $body:block) => {{
+            let base = median_us(reps, || {
+                let mut $v = $legacy;
+                $body
+            });
+            let us = median_us(reps, || {
+                let mut $v = $current;
+                $body
+            });
+            push($name, "live", base, us);
+        }};
+    }
+
     // DES event queue: bulk schedule + drain (random times).
     for (n, name) in [
         (10_000usize, "event_queue/push_pop/10k"),
@@ -2332,8 +2353,7 @@ fn perf(quick: bool) {
     ] {
         let mut rng = SimRng::seed_from(1);
         let times: Vec<u64> = (0..n).map(|_| rng.next_below(1_000_000_000)).collect();
-        let base = median_us(reps, || {
-            let mut q = LegacyEventQueue::new();
+        live_row!(name, q = LegacyEventQueue::new(), EventQueue::new() => {
             for (i, &t) in times.iter().enumerate() {
                 q.schedule(SimTime::from_nanos(t), i);
             }
@@ -2343,18 +2363,6 @@ fn perf(quick: bool) {
             }
             acc as u64
         });
-        let us = median_us(reps, || {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), i);
-            }
-            let mut acc = 0usize;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc as u64
-        });
-        push(name, "live", base, us);
     }
 
     // DES event queue: the flow-timer pattern (schedule, cancel previous,
@@ -2363,8 +2371,7 @@ fn perf(quick: bool) {
         (10_000usize, "event_queue/cancel_heavy/10k"),
         (100_000, "event_queue/cancel_heavy/100k"),
     ] {
-        let base = median_us(reps, || {
-            let mut q = LegacyEventQueue::new();
+        live_row!(name, q = LegacyEventQueue::new(), EventQueue::new() => {
             let mut last = None;
             for i in 0..n {
                 if let Some(id) = last.take() {
@@ -2378,22 +2385,6 @@ fn perf(quick: bool) {
             }
             count
         });
-        let us = median_us(reps, || {
-            let mut q = EventQueue::new();
-            let mut last = None;
-            for i in 0..n {
-                if let Some(id) = last.take() {
-                    q.cancel(id);
-                }
-                last = Some(q.schedule(SimTime::from_nanos(i as u64 + 1), i));
-            }
-            let mut count = 0u64;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            count
-        });
-        push(name, "live", base, us);
     }
 
     // Flow network: arrivals and departures with the completion horizon
@@ -2409,8 +2400,8 @@ fn perf(quick: bool) {
                 (NodeId::new(0), w)
             })
             .collect();
-        let base = median_us(reps, || {
-            let mut net: LegacyFlowNet<usize> = LegacyFlowNet::new(storage_cluster());
+        live_row!(name,
+            net = LegacyFlowNet::new(storage_cluster()), FlowNet::new(storage_cluster()) => {
             let ids: Vec<_> = endpoints
                 .iter()
                 .enumerate()
@@ -2426,61 +2417,24 @@ fn perf(quick: bool) {
             }
             net.active_flows() as u64
         });
-        let us = median_us(reps, || {
-            let mut net: faasflow_net::FlowNet<usize> =
-                faasflow_net::FlowNet::new(storage_cluster());
-            let ids: Vec<_> = endpoints
-                .iter()
-                .enumerate()
-                .map(|(i, &(src, dst))| {
-                    let id = net.start_flow(src, dst, 1 << 20, i, SimTime::ZERO);
-                    let _ = net.next_completion();
-                    id
-                })
-                .collect();
-            for id in ids {
-                net.cancel_flow(id, SimTime::ZERO);
-                let _ = net.next_completion();
-            }
-            net.active_flows() as u64
-        });
-        push(name, "live", base, us);
     }
 
     // Flow network: drive 64 flows to completion through the shared
     // storage NIC (integration + departures + timer horizon reads).
-    {
-        let base = median_us(reps, || {
-            let mut net: LegacyFlowNet<usize> = LegacyFlowNet::new(storage_cluster());
-            for i in 0..64 {
-                let w = NodeId::from(1 + (i % 7));
-                net.start_flow(NodeId::new(0), w, 4 << 20, i, SimTime::ZERO);
+    live_row!("flownet/drain_64_flows_to_completion",
+        net = LegacyFlowNet::new(storage_cluster()), FlowNet::new(storage_cluster()) => {
+        for i in 0..64usize {
+            let w = NodeId::from(1 + (i % 7));
+            net.start_flow(NodeId::new(0), w, 4 << 20, i, SimTime::ZERO);
+        }
+        let mut delivered = 0u64;
+        while let Some(t) = net.next_completion() {
+            for (_, f) in net.take_completed(t) {
+                delivered += f.bytes;
             }
-            let mut delivered = 0u64;
-            while let Some(t) = net.next_completion() {
-                for (_, f) in net.take_completed(t) {
-                    delivered += f.bytes;
-                }
-            }
-            delivered
-        });
-        let us = median_us(reps, || {
-            let mut net: faasflow_net::FlowNet<usize> =
-                faasflow_net::FlowNet::new(storage_cluster());
-            for i in 0..64 {
-                let w = NodeId::from(1 + (i % 7));
-                net.start_flow(NodeId::new(0), w, 4 << 20, i, SimTime::ZERO);
-            }
-            let mut delivered = 0u64;
-            while let Some(t) = net.next_completion() {
-                for (_, f) in net.take_completed(t) {
-                    delivered += f.bytes;
-                }
-            }
-            delivered
-        });
-        push("flownet/drain_64_flows_to_completion", "live", base, us);
-    }
+        }
+        delivered
+    });
 
     // Placement kernel: Algorithm 1 partition of Genome-50 onto 7 loaded
     // workers — the legacy index tie-break vs the load-aware scoring
@@ -2525,9 +2479,9 @@ fn perf(quick: bool) {
         push("scheduler/partition_gen50/load_aware", "live", base, us);
     }
 
-    // Whole-cluster: five closed-loop invocations end to end (mirrors
-    // `benches/cluster.rs`, FaaSFlow-FaaStore mode). The pre-overhaul
-    // cluster no longer exists, so these rows use recorded medians.
+    // Whole-cluster: five closed-loop invocations end to end
+    // (FaaSFlow-FaaStore mode). The pre-overhaul cluster no longer exists,
+    // so these rows use recorded medians.
     for (b, name, base) in [
         (Benchmark::WordCount, "cluster/faasflow_faastore/WC", 343.0),
         (Benchmark::Genome, "cluster/faasflow_faastore/Gen", 5_560.0),
@@ -2541,6 +2495,86 @@ fn perf(quick: bool) {
             cluster.report().workflow(b.short_name()).completed
         });
         push(name, "recorded", base, us);
+    }
+
+    // Engines (§5.7): one Cycles invocation driven through WorkerSP's
+    // seven per-worker engines vs MasterSP's central engine, on the same
+    // partition. Instances complete as soon as they trigger, so the row is
+    // pure engine cost: trigger bookkeeping, state syncs, dispatch.
+    {
+        let dag = Arc::new(
+            DagParser::default()
+                .parse(&Benchmark::Cycles.workflow())
+                .expect("parses"),
+        );
+        let workers: Vec<WorkerInfo> = (0..7)
+            .map(|i| WorkerInfo::new(NodeId::new(i + 1), 12))
+            .collect();
+        let assignment = Arc::new(
+            GraphScheduler::default()
+                .partition(
+                    &dag,
+                    &workers,
+                    &RuntimeMetrics::initial(&dag),
+                    &ContentionSet::default(),
+                    u64::MAX,
+                    &mut SimRng::seed_from(5),
+                )
+                .expect("partition succeeds"),
+        );
+        let (wf, inv) = (WorkflowId::new(0), InvocationId::new(0));
+        let base = median_us(reps, || {
+            let mut engine = MasterEngine::new();
+            engine.install(wf, dag.clone(), assignment.clone(), 9);
+            let mut pending = engine.begin_invocation(wf, inv);
+            let mut exits = 0;
+            while let Some(action) = pending.pop() {
+                match action {
+                    MasterAction::AssignTask { function, .. } => {
+                        for _ in 0..dag.node(function).parallelism.max(1) {
+                            pending.extend(engine.on_state_return(wf, inv, function));
+                        }
+                    }
+                    MasterAction::ExitComplete { .. } => exits += 1,
+                }
+            }
+            engine.release_invocation(wf, inv);
+            exits
+        });
+        let us = median_us(reps, || {
+            let mut engines: Vec<WorkerEngine> = workers
+                .iter()
+                .map(|w| {
+                    let mut e = WorkerEngine::new(w.node);
+                    e.install(wf, dag.clone(), assignment.clone(), 9);
+                    e
+                })
+                .collect();
+            let mut pending: Vec<WorkerAction> = engines
+                .iter_mut()
+                .flat_map(|e| e.begin_invocation(wf, inv))
+                .collect();
+            let mut exits = 0;
+            while let Some(action) = pending.pop() {
+                match action {
+                    WorkerAction::TriggerFunction { function, .. } => {
+                        let e = &mut engines[assignment.worker_of(function).index() - 1];
+                        for _ in 0..dag.node(function).parallelism.max(1) {
+                            pending.extend(e.on_instance_complete(wf, inv, function));
+                        }
+                    }
+                    WorkerAction::SyncState { to, completed, .. } => {
+                        pending.extend(engines[to.index() - 1].on_state_sync(wf, inv, completed));
+                    }
+                    WorkerAction::ExitComplete { .. } => exits += 1,
+                }
+            }
+            for e in &mut engines {
+                e.release_invocation(wf, inv);
+            }
+            exits
+        });
+        push("engine/cycles_invocation/workersp", "mastersp", base, us);
     }
 
     println!(
@@ -2562,7 +2596,9 @@ fn perf(quick: bool) {
                (faasflow_bench::legacy: BinaryHeap + tombstone event queue, full \
                max-min recompute per mutation) back to back with the current code; \
                baseline=recorded rows compare against medians recorded on the \
-               pre-overhaul tree, same machine class. \
+               pre-overhaul tree, same machine class; baseline=mastersp rows time \
+               MasterSP's central engine on the same invocation and partition as \
+               the WorkerSP engines they measure. \
                Regenerate: cargo run --release -p faasflow-bench --bin repro -- perf",
         quick,
         repro_all_secs_baseline: REPRO_ALL_SECS_BASELINE,

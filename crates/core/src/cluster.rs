@@ -54,6 +54,7 @@ use crate::overload::{AdmissionConfig, BackpressureConfig, P2Quantile, ShedPolic
 use crate::sample::{ClusterSample, NodeSample, NodeSeries, ResourceSeriesReport, Ring};
 use crate::slo::{SloMonitor, SloTransition};
 use crate::trace::{TraceEvent, Tracer};
+use crate::worker_fault::WorkerFaultState;
 
 /// How an invocation is being abandoned — decides the accounting in
 /// `abandon_invocation`.
@@ -528,26 +529,12 @@ pub struct Cluster {
     /// `quarantine_orphans`) tick here whether or not a detector is
     /// watching; `report()` merges the detector's own counters in.
     health_stats: HealthReport,
-    /// Workers the detector currently holds in quarantine: excluded from
-    /// the partition target set and from hedge candidate rings.
-    quarantined: Vec<bool>,
-    /// Per-worker exec slowdown multiplier (gray windows; 1.0 nominally).
-    gray_slowdown: Vec<f64>,
-    /// Per-worker stuck-executor window end: completions inside the window
-    /// defer to its closing edge.
-    gray_stuck_until: Vec<Option<SimTime>>,
-    /// Per-worker injected exec failure rate (gray windows; 0.0 nominally).
-    gray_flaky: Vec<f64>,
-    /// Per-worker asymmetric data-plane partition: `Some(true)` drops
-    /// flows toward the worker's node, `Some(false)` drops flows from it.
-    gray_partition: Vec<Option<bool>>,
+    /// Per-worker gray-fault windows and quarantine flag, consulted by
+    /// every exec attempt and by the flow and placement paths.
+    worker_faults: Vec<WorkerFaultState>,
     /// Count of open asymmetric-partition windows (fast path for the
     /// per-flow block check).
     gray_partitions_active: u32,
-    /// Workers whose lease was force-expired while they were still alive:
-    /// their late completions die on the admission fences and are counted
-    /// as fenced zombies.
-    gray_zombie: Vec<bool>,
     /// Data-plane payloads stalled by an asymmetric partition, keyed by
     /// the partitioned worker; replayed when its window lifts.
     gray_stalled: Vec<(usize, FlowTag)>,
@@ -658,13 +645,8 @@ impl Cluster {
                 .health
                 .map(|h| HealthDetector::new(h, config.workers)),
             health_stats: HealthReport::default(),
-            quarantined: vec![false; config.workers as usize],
-            gray_slowdown: vec![1.0; config.workers as usize],
-            gray_stuck_until: vec![None; config.workers as usize],
-            gray_flaky: vec![0.0; config.workers as usize],
-            gray_partition: vec![None; config.workers as usize],
+            worker_faults: vec![WorkerFaultState::default(); config.workers as usize],
             gray_partitions_active: 0,
-            gray_zombie: vec![false; config.workers as usize],
             gray_stalled: Vec::new(),
             worker_p99: (0..config.workers).map(|_| P2Quantile::new(0.99)).collect(),
             completions_since_skew_check: 0,
@@ -1299,7 +1281,9 @@ impl Cluster {
     /// completing, it just gets nothing new.
     fn placement_workers(&self, residual: bool, loads: &[WorkerLoad]) -> Vec<WorkerInfo> {
         (0..self.config.workers)
-            .filter(|&i| self.worker_alive[i as usize] && !self.quarantined[i as usize])
+            .filter(|&i| {
+                self.worker_alive[i as usize] && !self.worker_faults[i as usize].quarantined
+            })
             .map(|i| {
                 let mut info =
                     WorkerInfo::new(self.config.worker_node(i), self.config.worker_capacity());
@@ -2857,10 +2841,7 @@ impl Cluster {
             // A stale admission on a live worker still holds its container
             // (e.g. the invocation restarted or dead-lettered mid-boot).
             if self.worker_alive[worker] && self.containers[worker].is_busy(container) {
-                let admissions = self.containers[worker].release(container, now, &mut self.rng);
-                self.schedule_admissions(worker, admissions);
-                self.track_utilization(now, worker);
-                self.reschedule_expiry(now, worker);
+                self.release_container(now, worker, container);
             }
             return;
         }
@@ -2994,11 +2975,7 @@ impl Cluster {
         };
         // A gray slowdown stretches the sampled compute without touching
         // the RNG draw sequence.
-        let exec = if self.gray_slowdown[worker] != 1.0 {
-            exec.mul_f64(self.gray_slowdown[worker])
-        } else {
-            exec
-        };
+        let exec = self.worker_faults[worker].stretch(exec);
         if let Some(h) = self.health.as_mut() {
             h.note_start(worker as u32, now);
         }
@@ -3047,18 +3024,33 @@ impl Cluster {
         }
     }
 
+    /// A stuck executor accepts work but completes nothing: an attempt
+    /// completing on `worker` inside the window re-fires `done` at its
+    /// closing edge (strictly before it, so the re-fired event at the edge
+    /// proceeds whatever the tie order against `GrayFaultEnd`). Primary
+    /// and hedge attempts both pass through here.
+    fn defer_if_stuck(&mut self, now: SimTime, worker: usize, done: Event) -> bool {
+        let Some(end) = self.worker_faults[worker].stuck_edge(now) else {
+            return false;
+        };
+        self.health_stats.stuck_deferrals += 1;
+        self.queue.schedule(end, done);
+        true
+    }
+
+    /// Draws whether an exec attempt on `worker` failed. The short-circuit
+    /// keeps the RNG draw sequence identical to builds without the trace
+    /// hook: one draw per completion iff the rate is non-zero. A flaky-exec
+    /// gray window raises the effective rate for this worker only (and
+    /// never changes the draw sequence outside its window).
+    fn draw_exec_failure(&mut self, worker: usize) -> bool {
+        let rate = self.worker_faults[worker].failure_rate(self.config.exec_failure_rate);
+        rate > 0.0 && self.rng.chance(rate)
+    }
+
     fn on_exec_done(&mut self, now: SimTime, worker: usize, token: InstanceToken, seq: u64) {
-        // A stuck executor accepts work but completes nothing: completions
-        // inside the window defer to its closing edge (strictly before it,
-        // so the re-fired event at the edge proceeds whatever the tie
-        // order against `GrayFaultEnd`).
-        if let Some(end) = self.gray_stuck_until[worker] {
-            if now < end {
-                self.health_stats.stuck_deferrals += 1;
-                self.queue
-                    .schedule(end, Event::ExecDone { worker, token, seq });
-                return;
-            }
+        if self.defer_if_stuck(now, worker, Event::ExecDone { worker, token, seq }) {
+            return;
         }
         // Stale-event fence: the instance must still be this admission on
         // this worker (a crash orphans instances; a restart re-admits the
@@ -3085,18 +3077,8 @@ impl Cluster {
         // Failure injection: a transient execution error re-runs the
         // instance in place (the container is already warm) up to the
         // retry budget, after which at-least-once semantics let it pass —
-        // unless the fault plan dead-letters exhausted instances. The
-        // short-circuit keeps the RNG draw sequence identical to builds
-        // without the trace hook: one draw per completion iff the rate is
-        // non-zero. A flaky-exec gray window raises the effective rate for
-        // this worker only (and never changes the draw sequence outside
-        // its window).
-        let rate = if self.gray_flaky[worker] > 0.0 {
-            self.config.exec_failure_rate.max(self.gray_flaky[worker])
-        } else {
-            self.config.exec_failure_rate
-        };
-        let failed = rate > 0.0 && self.rng.chance(rate);
+        // unless the fault plan dead-letters exhausted instances.
+        let failed = self.draw_exec_failure(worker);
         let worker_node = self.config.worker_node(worker as u32);
         self.tracer.record(|| TraceEvent::ExecFinished {
             workflow: token.workflow,
@@ -3270,7 +3252,7 @@ impl Cluster {
         for cand in (worker + 1..n).chain(0..worker) {
             // Quarantined workers take no hedges: a speculative copy on a
             // gray worker is the straggler it was meant to beat.
-            if !self.worker_alive[cand] || self.quarantined[cand] {
+            if !self.worker_alive[cand] || self.worker_faults[cand].quarantined {
                 continue;
             }
             if let Some(adm) = self.containers[cand].request_immediate(
@@ -3331,18 +3313,16 @@ impl Cluster {
         if h.seq != seq {
             return;
         }
-        let (hw, hc, cancelled) = (h.worker, h.container, h.cancelled);
+        let (hw, cancelled) = (h.worker, h.cancelled);
         if cancelled {
             // The primary won while we were booting: drop the copy.
-            self.hedges.remove(&token);
-            self.release_hedge_container(now, hw, hc);
+            self.discard_hedge(now, token);
             return;
         }
         let exec = {
             let Some(state) = self.invocations.get(&(token.workflow, token.invocation)) else {
                 // Torn down mid-boot (teardown cancels hedges, but be safe).
-                self.hedges.remove(&token);
-                self.release_hedge_container(now, hw, hc);
+                self.discard_hedge(now, token);
                 return;
             };
             match &state.dag.node(token.function).kind {
@@ -3350,6 +3330,9 @@ impl Cluster {
                 _ => SimDuration::ZERO,
             }
         };
+        // The copy computes on a worker like any attempt, gray slowdown
+        // included.
+        let exec = self.worker_faults[hw].stretch(exec);
         self.hedges.get_mut(&token).expect("checked above").ready = true;
         self.queue
             .schedule(now + exec, Event::HedgeExecDone { token, seq });
@@ -3367,6 +3350,9 @@ impl Cluster {
             return;
         }
         let (hw, hc) = (h.worker, h.container);
+        if self.defer_if_stuck(now, hw, Event::HedgeExecDone { token, seq }) {
+            return;
+        }
         let primary = self
             .invocations
             .get(&(token.workflow, token.invocation))
@@ -3375,17 +3361,14 @@ impl Cluster {
             .map(|i| (i.worker, i.container));
         let Some((pw, pc)) = primary else {
             // The instance vanished under us; orphaned hedge, clean up.
-            self.hedges.remove(&token);
             self.overload.hedge_losses += 1;
-            self.release_hedge_container(now, hw, hc);
+            self.discard_hedge(now, token);
             return;
         };
         // Hedges are subject to the same transient-failure injection as any
-        // attempt; a failed hedge simply loses (the primary keeps running).
-        let failed =
-            self.config.exec_failure_rate > 0.0 && self.rng.chance(self.config.exec_failure_rate);
-        if failed {
-            self.hedges.remove(&token);
+        // attempt, flaky gray windows included; a failed hedge simply loses
+        // (the primary keeps running).
+        if self.draw_exec_failure(hw) {
             self.overload.hedge_losses += 1;
             self.tracer.record(|| TraceEvent::HedgeResolved {
                 workflow: token.workflow,
@@ -3395,7 +3378,7 @@ impl Cluster {
                 winner_is_hedge: false,
                 at: now,
             });
-            self.release_hedge_container(now, hw, hc);
+            self.discard_hedge(now, token);
             return;
         }
         self.hedges.remove(&token);
@@ -3430,10 +3413,7 @@ impl Cluster {
         });
         // Release the losing primary's container and transplant the
         // instance onto the hedge; output writes flow from the hedge's node.
-        let admissions = self.containers[pw].release(pc, now, &mut self.rng);
-        self.schedule_admissions(pw, admissions);
-        self.track_utilization(now, pw);
-        self.reschedule_expiry(now, pw);
+        self.release_container(now, pw, pc);
         {
             let inst = self
                 .invocations
@@ -3468,23 +3448,50 @@ impl Cluster {
         });
         let h = self.hedges.get_mut(&token).expect("present above");
         if h.ready {
-            let (hw, hc) = (h.worker, h.container);
-            self.hedges.remove(&token);
-            self.release_hedge_container(now, hw, hc);
+            self.discard_hedge(now, token);
         } else {
             h.cancelled = true;
         }
     }
 
-    /// Releases a hedge's container if its worker is still alive and the
-    /// container still admitted (a crash wipes the pool wholesale).
-    fn release_hedge_container(&mut self, now: SimTime, worker: usize, container: ContainerId) {
-        if self.worker_alive[worker] && self.containers[worker].is_busy(container) {
-            let admissions = self.containers[worker].release(container, now, &mut self.rng);
-            self.schedule_admissions(worker, admissions);
-            self.track_utilization(now, worker);
-            self.reschedule_expiry(now, worker);
+    /// Forgets a losing hedge and releases its container if its worker is
+    /// still alive and the container still admitted (a crash wipes the
+    /// pool wholesale).
+    fn discard_hedge(&mut self, now: SimTime, token: InstanceToken) {
+        let Some(h) = self.hedges.remove(&token) else {
+            return;
+        };
+        if self.worker_alive[h.worker] && self.containers[h.worker].is_busy(h.container) {
+            self.release_container(now, h.worker, h.container);
         }
+    }
+
+    /// Returns a busy container to its worker's pool, then starts whatever
+    /// the freed capacity admits and refreshes the worker's utilization
+    /// and keep-alive timers. Callers check the container is still held.
+    fn release_container(&mut self, now: SimTime, worker: usize, container: ContainerId) {
+        let admissions = self.containers[worker].release(container, now, &mut self.rng);
+        self.schedule_admissions(worker, admissions);
+        self.track_utilization(now, worker);
+        self.reschedule_expiry(now, worker);
+    }
+
+    /// Tears down the instances of a restarted or abandoned invocation:
+    /// releases each container still held on a live worker (a crash wiped
+    /// the rest) and resolves its hedge, in token order so the RNG draws do
+    /// not depend on map order. Hands the buffer back to the scratch.
+    fn release_stale(&mut self, now: SimTime, mut stale: Vec<(InstanceToken, InstanceState)>) {
+        stale.sort_unstable_by_key(|&(t, _)| t);
+        for &(_, inst) in &stale {
+            if self.worker_alive[inst.worker] {
+                self.release_container(now, inst.worker, inst.container);
+            }
+        }
+        for &(t, _) in &stale {
+            self.cancel_hedge(now, t);
+        }
+        stale.clear();
+        self.scratch.stale = stale;
     }
 
     fn on_flow_done(&mut self, now: SimTime, tag: FlowTag) {
@@ -3655,10 +3662,7 @@ impl Cluster {
             }
             (inst.container, inst.home)
         };
-        let admissions = self.containers[worker].release(container, now, &mut self.rng);
-        self.schedule_admissions(worker, admissions);
-        self.track_utilization(now, worker);
-        self.reschedule_expiry(now, worker);
+        self.release_container(now, worker, container);
 
         match self.config.mode {
             ScheduleMode::WorkerSp => {
@@ -3816,8 +3820,7 @@ impl Cluster {
         // A fail-stop crash supersedes any gray suspicion: the corpse is
         // not a zombie (its fenced events are ordinary crash cleanup), and
         // the differential detector hands the worker to the lease path.
-        self.gray_zombie[w] = false;
-        self.quarantined[w] = false;
+        self.worker_faults[w].on_crash();
         if let Some(h) = self.health.as_mut() {
             h.on_worker_crash(w as u32);
         }
@@ -3907,7 +3910,7 @@ impl Cluster {
         // asymmetric partition. The master cannot tell a zombie from a
         // corpse, so it recovers as if the node died; the zombie's late
         // completions die on the fences.
-        let suspected = self.worker_alive[w] && self.gray_zombie[w];
+        let suspected = self.worker_alive[w] && self.worker_faults[w].zombie;
         match self.config.mode {
             ScheduleMode::MasterSp => {
                 if suspected {
@@ -4400,27 +4403,13 @@ impl Cluster {
         let mut stale = std::mem::take(&mut self.scratch.stale);
         let state = self.invocations.get_mut(&(wf, inv)).expect("checked above");
         stale.extend(state.instances.drain());
-        stale.sort_unstable_by_key(|&(t, _)| t);
         state.instances_remaining.clear();
         state.completed_nodes.clear();
         state.placements.clear();
         state.dispatched.clear();
         state.reported_exits.clear();
         state.exits_remaining = state.dag.exit_nodes().len();
-        for &(_, inst) in &stale {
-            if self.worker_alive[inst.worker] {
-                let admissions =
-                    self.containers[inst.worker].release(inst.container, now, &mut self.rng);
-                self.schedule_admissions(inst.worker, admissions);
-                self.track_utilization(now, inst.worker);
-                self.reschedule_expiry(now, inst.worker);
-            }
-        }
-        for &(t, _) in &stale {
-            self.cancel_hedge(now, t);
-        }
-        stale.clear();
-        self.scratch.stale = stale;
+        self.release_stale(now, stale);
         self.inflight_spawns
             .retain(|t, _| !(t.workflow == wf && t.invocation == inv));
         for e in &mut self.worker_engines {
@@ -4567,21 +4556,7 @@ impl Cluster {
         self.cancel_invocation_flows(now, wf, inv);
         let mut stale = std::mem::take(&mut self.scratch.stale);
         stale.extend(state.instances.drain());
-        stale.sort_unstable_by_key(|&(t, _)| t);
-        for &(_, inst) in &stale {
-            if self.worker_alive[inst.worker] {
-                let admissions =
-                    self.containers[inst.worker].release(inst.container, now, &mut self.rng);
-                self.schedule_admissions(inst.worker, admissions);
-                self.track_utilization(now, inst.worker);
-                self.reschedule_expiry(now, inst.worker);
-            }
-        }
-        for &(t, _) in &stale {
-            self.cancel_hedge(now, t);
-        }
-        stale.clear();
-        self.scratch.stale = stale;
+        self.release_stale(now, stale);
         // Purge the invocation's queued admissions everywhere: leaving them
         // would hold bounded-queue slots for a dead invocation and let a
         // later overflow "shed" it a second time.
@@ -4698,35 +4673,25 @@ impl Cluster {
     /// A gray-failure window opens. Unlike a crash, the worker keeps its
     /// lease: it accepts work and answers heartbeats while quietly
     /// misbehaving — exactly the failure class a liveness-only detector
-    /// cannot see. The effect vectors are passive state consulted by the
-    /// exec and flow paths, so a window over an idle worker changes
+    /// cannot see. The effects are passive `WorkerFaultState` consulted by
+    /// the exec and flow paths, so a window over an idle worker changes
     /// nothing.
     fn on_gray_fault_start(&mut self, now: SimTime, idx: usize) {
         let g = self.config.fault.gray_faults[idx];
         let w = g.worker as usize;
-        match g.kind {
-            GrayFaultKind::ExecSlowdown { factor } => self.gray_slowdown[w] = factor,
-            GrayFaultKind::StuckExecutor => {
-                self.gray_stuck_until[w] = Some(SimTime::ZERO + g.at + g.duration);
-            }
-            GrayFaultKind::FlakyExec { failure_rate } => self.gray_flaky[w] = failure_rate,
-            GrayFaultKind::AsymmetricPartition {
-                inbound,
-                expire_lease,
-            } => {
-                self.gray_partition[w] = Some(inbound);
-                self.gray_partitions_active += 1;
-                // The false-suspicion path: the master stops hearing from
-                // the worker and force-expires its lease even though the
-                // node is alive and still executing. Re-dispatched work
-                // races the zombie; its late completions must be fenced.
-                if expire_lease && self.worker_alive[w] {
-                    self.gray_zombie[w] = true;
-                    self.queue.schedule(
-                        now + self.config.fault.lease_delay(g.worker),
-                        Event::LeaseExpired { worker: w },
-                    );
-                }
+        self.worker_faults[w].open(g.kind, SimTime::ZERO + g.at + g.duration);
+        if let GrayFaultKind::AsymmetricPartition { expire_lease, .. } = g.kind {
+            self.gray_partitions_active += 1;
+            // The false-suspicion path: the master stops hearing from
+            // the worker and force-expires its lease even though the
+            // node is alive and still executing. Re-dispatched work
+            // races the zombie; its late completions must be fenced.
+            if expire_lease && self.worker_alive[w] {
+                self.worker_faults[w].zombie = true;
+                self.queue.schedule(
+                    now + self.config.fault.lease_delay(g.worker),
+                    Event::LeaseExpired { worker: w },
+                );
             }
         }
     }
@@ -4737,21 +4702,15 @@ impl Cluster {
     fn on_gray_fault_end(&mut self, now: SimTime, idx: usize) {
         let g = self.config.fault.gray_faults[idx];
         let w = g.worker as usize;
-        match g.kind {
-            GrayFaultKind::ExecSlowdown { .. } => self.gray_slowdown[w] = 1.0,
-            GrayFaultKind::StuckExecutor => self.gray_stuck_until[w] = None,
-            GrayFaultKind::FlakyExec { .. } => self.gray_flaky[w] = 0.0,
-            GrayFaultKind::AsymmetricPartition { .. } => {
-                self.gray_partition[w] = None;
-                self.gray_partitions_active = self.gray_partitions_active.saturating_sub(1);
-                self.gray_zombie[w] = false;
-                let stalled = std::mem::take(&mut self.gray_stalled);
-                for (sw, tag) in stalled {
-                    if sw == w {
-                        self.on_flow_done(now, tag);
-                    } else {
-                        self.gray_stalled.push((sw, tag));
-                    }
+        self.worker_faults[w].close(g.kind);
+        if let GrayFaultKind::AsymmetricPartition { .. } = g.kind {
+            self.gray_partitions_active = self.gray_partitions_active.saturating_sub(1);
+            let stalled = std::mem::take(&mut self.gray_stalled);
+            for (sw, tag) in stalled {
+                if sw == w {
+                    self.on_flow_done(now, tag);
+                } else {
+                    self.gray_stalled.push((sw, tag));
                 }
             }
         }
@@ -4774,7 +4733,7 @@ impl Cluster {
             .get(&(token.workflow, token.invocation))
             .and_then(|s| s.instances.get(&token))
             .map(|i| i.worker)?;
-        match self.gray_partition[w] {
+        match self.worker_faults[w].partition {
             Some(inbound) if inbound == read => Some(w),
             _ => None,
         }
@@ -4790,7 +4749,7 @@ impl Cluster {
         if let Some(h) = self.health.as_mut() {
             h.note_fenced(worker as u32);
         }
-        if !self.gray_zombie[worker] {
+        if !self.worker_faults[worker].zombie {
             return;
         }
         self.health_stats.zombie_fenced += 1;
@@ -4828,7 +4787,7 @@ impl Cluster {
                     relapse,
                 } => {
                     let w = worker as usize;
-                    self.quarantined[w] = true;
+                    self.worker_faults[w].quarantined = true;
                     let node = self.config.worker_node(worker);
                     self.tracer.record(|| TraceEvent::WorkerQuarantined {
                         worker: node,
@@ -4848,7 +4807,7 @@ impl Cluster {
                     }
                 }
                 HealthTransition::Reinstating { worker } => {
-                    self.quarantined[worker as usize] = false;
+                    self.worker_faults[worker as usize].quarantined = false;
                 }
                 HealthTransition::Reinstated { worker } => {
                     let node = self.config.worker_node(worker);
@@ -4969,10 +4928,7 @@ impl Cluster {
             let Some(inst) = state.instances.remove(&token) else {
                 continue;
             };
-            let admissions = self.containers[w].release(inst.container, now, &mut self.rng);
-            self.schedule_admissions(w, admissions);
-            self.track_utilization(now, w);
-            self.reschedule_expiry(now, w);
+            self.release_container(now, w, inst.container);
             let Some(target) = self.pick_healthy_worker(w) else {
                 self.dead_letter_invocation(now, token.workflow, token.invocation, reason);
                 continue;
@@ -5023,7 +4979,7 @@ impl Cluster {
         let n = self.config.workers as usize;
         (avoid + 1..n)
             .chain(0..=avoid.min(n - 1))
-            .find(|&w| self.worker_alive[w] && !self.quarantined[w])
+            .find(|&w| self.worker_alive[w] && !self.worker_faults[w].quarantined)
             .or_else(|| self.pick_alive_worker(avoid))
     }
 

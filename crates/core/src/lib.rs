@@ -52,6 +52,7 @@ pub mod overload;
 pub mod sample;
 pub mod slo;
 pub mod trace;
+mod worker_fault;
 
 pub use cluster::Cluster;
 pub use config::{ClientConfig, ClusterConfig, ReclamationMode, ScheduleMode};

@@ -9,8 +9,8 @@
 use faasflow_container::NodeCaps;
 use faasflow_core::{
     AdmissionConfig, BackpressureConfig, BreakerConfig, ClientConfig, Cluster, ClusterConfig,
-    FaultPlan, HedgeConfig, OverloadConfig, RunReport, ScheduleMode, ShedPolicy, StorageFault,
-    StorageFaultKind,
+    FaultPlan, GrayFault, GrayFaultKind, HedgeConfig, OverloadConfig, RunReport, ScheduleMode,
+    ShedPolicy, StorageFault, StorageFaultKind,
 };
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
@@ -101,6 +101,58 @@ fn zero_exec_retries_with_hedging_drains_cleanly() {
     );
     assert_eq!(report.workflow("Straggler").sent, 12);
     assert!(report.workflow("Straggler").completed > 0);
+}
+
+/// A hedged copy runs on a worker too, so it suffers that worker's gray
+/// faults. With every worker 10x slow and no exec-time variation, a copy
+/// launched 700 ms after the primary finishes after it. A copy that ran
+/// at nominal speed would win every race.
+#[test]
+fn hedges_run_as_slow_as_their_gray_worker() {
+    let config = ClusterConfig {
+        mode: ScheduleMode::WorkerSp,
+        faastore: true,
+        workers: 4,
+        overload: OverloadConfig {
+            hedge: Some(HedgeConfig {
+                delay: SimDuration::from_millis(700),
+                adaptive: None,
+            }),
+            ..OverloadConfig::default()
+        },
+        fault: FaultPlan {
+            gray_faults: (0..4)
+                .map(|worker| GrayFault {
+                    worker,
+                    at: SimDuration::ZERO,
+                    duration: SimDuration::from_secs(3600),
+                    kind: GrayFaultKind::ExecSlowdown { factor: 10.0 },
+                })
+                .collect(),
+            ..FaultPlan::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let wf = Workflow::steps(
+        "Slow",
+        Step::sequence(vec![
+            Step::task("prep", FunctionProfile::with_millis(50, 4 << 20)),
+            Step::foreach(
+                "crunch",
+                FunctionProfile::with_millis(1000, 1 << 20).exec_variation(0.0),
+                6,
+            ),
+            Step::task("merge", FunctionProfile::with_millis(40, 0)),
+        ]),
+    );
+    let report = run(config, &wf, 6);
+
+    assert_conserved(&report);
+    let o = &report.overload;
+    assert!(o.hedges_launched > 0, "no hedges fired: {o:?}");
+    assert_eq!(o.hedge_wins, 0, "a hedge outran its slow worker: {o:?}");
+    assert_eq!(o.hedge_wins + o.hedge_losses, o.hedges_launched);
+    assert_eq!(report.workflow("Slow").completed, 6);
 }
 
 /// A storage blackout must trip the breaker (the PR1 backoff path and the
