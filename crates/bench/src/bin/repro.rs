@@ -2436,47 +2436,53 @@ fn perf(quick: bool) {
         delivered
     });
 
-    // Placement kernel: Algorithm 1 partition of Genome-50 onto 7 loaded
-    // workers — the legacy index tie-break vs the load-aware scoring
-    // (residual capacity, p99/memory tie-breaks, locality affinity). The
-    // delta is the placement layer's per-partition cost on the hot path.
+    // Placement kernel: Algorithm 1 partition of Genome-50 onto 7 (the
+    // paper's testbed) and 128 (a fleet) loaded workers — the legacy index
+    // tie-break vs the load-aware scoring (residual capacity, p99/memory
+    // tie-breaks, locality affinity). The delta is the placement layer's
+    // per-partition cost on the hot path.
     {
         let parser = DagParser::default();
         let wf = scientific::genome(50);
         let dag = parser.parse(&wf).expect("genome parses");
         let metrics = RuntimeMetrics::initial(&dag);
-        let workers: Vec<WorkerInfo> = (0..7u32)
-            .map(|i| {
-                WorkerInfo::new(NodeId::new(i + 1), 40).with_load(WorkerLoad {
-                    queued: i,
-                    running: (i * 3) % 5,
-                    mem_used_bytes: u64::from(i) << 20,
-                    recent_p99_ms: 100 + 40 * i,
+        for (n, name) in [
+            (7u32, "scheduler/partition_gen50/load_aware"),
+            (128, "scheduler/partition_gen50/load_aware_w128"),
+        ] {
+            let workers: Vec<WorkerInfo> = (0..n)
+                .map(|i| {
+                    WorkerInfo::new(NodeId::new(i + 1), 40).with_load(WorkerLoad {
+                        queued: i,
+                        running: (i * 3) % 5,
+                        mem_used_bytes: u64::from(i) << 20,
+                        recent_p99_ms: 100 + 40 * i,
+                    })
                 })
-            })
-            .collect();
-        let bench = |sched: GraphScheduler| {
-            let mut rng = SimRng::seed_from(7);
-            median_us(reps, || {
-                let a = sched
-                    .partition(
-                        &dag,
-                        &workers,
-                        &metrics,
-                        &ContentionSet::default(),
-                        u64::MAX,
-                        &mut rng,
-                    )
-                    .expect("partition succeeds");
-                a.groups.len() as u64
-            })
-        };
-        let base = bench(GraphScheduler::new(PartitionConfig {
-            placement_config: PlacementConfig::legacy(),
-            ..PartitionConfig::default()
-        }));
-        let us = bench(GraphScheduler::new(PartitionConfig::default()));
-        push("scheduler/partition_gen50/load_aware", "live", base, us);
+                .collect();
+            let bench = |sched: GraphScheduler| {
+                let mut rng = SimRng::seed_from(7);
+                median_us(reps, || {
+                    let a = sched
+                        .partition(
+                            &dag,
+                            &workers,
+                            &metrics,
+                            &ContentionSet::default(),
+                            u64::MAX,
+                            &mut rng,
+                        )
+                        .expect("partition succeeds");
+                    a.groups.len() as u64
+                })
+            };
+            let base = bench(GraphScheduler::new(PartitionConfig {
+                placement_config: PlacementConfig::legacy(),
+                ..PartitionConfig::default()
+            }));
+            let us = bench(GraphScheduler::new(PartitionConfig::default()));
+            push(name, "live", base, us);
+        }
     }
 
     // Whole-cluster: five closed-loop invocations end to end

@@ -25,8 +25,8 @@ use faasflow_container::{Admission, ContainerManager, StartKind};
 use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_net::{Flow, FlowId, FlowNet, LinkFaultTable, LinkQuality, NicSpec};
 use faasflow_scheduler::{
-    ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler, PartitionConfig,
-    RuntimeMetrics, ScheduleError, WorkerInfo, WorkerLoad,
+    Assignment, ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler,
+    PartitionConfig, RuntimeMetrics, ScheduleError, WorkerInfo, WorkerLoad,
 };
 use faasflow_sim::{
     ContainerId, EventId, EventQueue, FunctionId, InvocationId, NodeId, SimDuration, SimRng,
@@ -1248,10 +1248,7 @@ impl Cluster {
         let mut loads = vec![WorkerLoad::default(); n];
         for (w, load) in loads.iter_mut().enumerate() {
             load.queued = self.containers[w].queue_len() as u32;
-            let ms = self.faastores[w].memstore();
-            for wf_idx in 0..self.name_table.len() {
-                load.mem_used_bytes += ms.used(WorkflowId::new(wf_idx as u32));
-            }
+            load.mem_used_bytes = self.faastores[w].memstore().used_total();
             load.recent_p99_ms = self.worker_p99[w]
                 .estimate()
                 .map_or(0, |p| p.round().max(0.0) as u32);
@@ -1312,15 +1309,7 @@ impl Cluster {
             Vec::new()
         };
         let workers = self.placement_workers(enabled, &loads);
-        let start = std::time::Instant::now();
-        let mut result = self.scheduler.partition(
-            &state.dag,
-            &workers,
-            &state.prev_metrics,
-            &state.contention,
-            state.quota,
-            &mut self.rng,
-        );
+        let mut result = self.timed_partition(state, &workers);
         if enabled {
             self.placement.load_aware_partitions += 1;
             if matches!(result, Err(ScheduleError::InsufficientCapacity { .. })) {
@@ -1329,19 +1318,10 @@ impl Cluster {
                 // used to fit still deploys.
                 self.placement.capacity_fallbacks += 1;
                 let workers = self.placement_workers(false, &loads);
-                result = self.scheduler.partition(
-                    &state.dag,
-                    &workers,
-                    &state.prev_metrics,
-                    &state.contention,
-                    state.quota,
-                    &mut self.rng,
-                );
+                result = self.timed_partition(state, &workers);
             }
         }
         let assignment = result?;
-        self.partition_wall_secs += start.elapsed().as_secs_f64();
-        self.partition_runs += 1;
 
         let assignment = Arc::new(assignment);
         state.dag_arc = Arc::new(state.dag.clone());
@@ -1368,17 +1348,40 @@ impl Cluster {
                 );
             }
         }
-        for i in 0..self.config.workers as usize {
-            let node = self.config.worker_node(i as u32);
-            let members = assignment
-                .groups
-                .iter()
-                .filter(|g| g.worker == node)
-                .flat_map(|g| g.members.iter().copied());
-            let budget = quota::subset_quota(&state.dag, members, self.config.mu);
-            self.faastores[i].memstore_mut().set_budget(wf, budget);
+        // Each worker's budget is the quota of the members placed on it;
+        // bucket the groups by worker in one pass.
+        let mut budgets = vec![0u64; self.config.workers as usize];
+        for g in &assignment.groups {
+            if let Some(w) = self.config.worker_index(g.worker) {
+                budgets[w] +=
+                    quota::subset_quota(&state.dag, g.members.iter().copied(), self.config.mu);
+            }
+        }
+        for (store, budget) in self.faastores.iter_mut().zip(budgets) {
+            store.memstore_mut().set_budget(wf, budget);
         }
         Ok(())
+    }
+
+    /// One `GraphScheduler::partition` call, counted in
+    /// [`Cluster::partition_wall_time`] whether or not it succeeds.
+    fn timed_partition(
+        &mut self,
+        state: &WorkflowState,
+        workers: &[WorkerInfo],
+    ) -> Result<Assignment, ScheduleError> {
+        let start = std::time::Instant::now();
+        let result = self.scheduler.partition(
+            &state.dag,
+            workers,
+            &state.prev_metrics,
+            &state.contention,
+            state.quota,
+            &mut self.rng,
+        );
+        self.partition_wall_secs += start.elapsed().as_secs_f64();
+        self.partition_runs += 1;
+        result
     }
 
     fn maybe_repartition(&mut self, wf: WorkflowId, qos_violated: bool) {
@@ -1703,12 +1706,10 @@ impl Cluster {
                 let w = node_idx - 1;
                 let cm = &self.containers[w];
                 let ms = self.faastores[w].memstore();
-                let (mut used, mut budget) = (0u64, 0u64);
-                for wf_idx in 0..self.name_table.len() {
-                    let wf = WorkflowId::new(wf_idx as u32);
-                    used += ms.used(wf);
-                    budget += ms.budget(wf);
-                }
+                let used = ms.used_total();
+                let budget = (0..self.name_table.len())
+                    .map(|wf_idx| ms.budget(WorkflowId::new(wf_idx as u32)))
+                    .sum();
                 (
                     cm.container_count() as u64,
                     cm.stats().cores_busy.get(),

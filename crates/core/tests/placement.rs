@@ -8,9 +8,10 @@ use std::collections::HashMap;
 
 use faasflow_container::NodeCaps;
 use faasflow_core::{
-    ClientConfig, Cluster, ClusterConfig, FaultPlan, NodeCrash, PlacementConfig, PlacementReport,
-    RunReport, ScheduleMode, TraceEvent,
+    ClientConfig, Cluster, ClusterConfig, ClusterError, FaultPlan, NodeCrash, PlacementConfig,
+    PlacementReport, RunReport, ScheduleMode, TraceEvent,
 };
+use faasflow_scheduler::ScheduleError;
 use faasflow_sim::SimDuration;
 use faasflow_wdl::{FunctionProfile, Step, Workflow};
 
@@ -134,6 +135,43 @@ fn residual_capacity_fallback_still_deploys() {
     );
     for wf in report.workflows.values() {
         assert_eq!(wf.completed, wf.sent, "fallback deploys must still run");
+    }
+}
+
+/// `partition_wall_time` counts every partitioner call, the ones that fail
+/// included: a legacy register that cannot fit runs the partitioner once,
+/// a load-aware one runs it twice (residual capacity, then nominal).
+#[test]
+fn failed_partitions_are_counted() {
+    for (placement_config, runs) in [
+        (PlacementConfig::legacy(), 1),
+        (PlacementConfig::default(), 2),
+    ] {
+        let config = ClusterConfig {
+            // The foreach node alone needs four containers.
+            partition_capacity: 3,
+            placement_config,
+            ..aware_config(2)
+        };
+        let mut cluster = Cluster::new(config).expect("valid config");
+        let err = cluster
+            .register(
+                &pipeline("big"),
+                ClientConfig::ClosedLoop { invocations: 1 },
+            )
+            .expect_err("a foreach of four cannot fit three containers");
+        assert!(
+            matches!(
+                err,
+                ClusterError::Schedule(ScheduleError::InsufficientCapacity { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            cluster.partition_wall_time().1,
+            runs,
+            "{placement_config:?}"
+        );
     }
 }
 

@@ -19,7 +19,8 @@
 //!
 //! and stops when a full pass makes no merge (line 26).
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashSet};
 
 use faasflow_sim::{FunctionId, GroupId, NodeId, SimDuration, SimRng};
 use faasflow_wdl::{EdgeId, WorkflowDag};
@@ -27,6 +28,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ScheduleError;
 use crate::feedback::{RuntimeMetrics, WorkerLoad};
+
+#[cfg(test)]
+mod reference;
 
 /// How merged groups are placed onto workers (Algorithm 1 line 21).
 ///
@@ -305,6 +309,178 @@ pub struct GraphScheduler {
     config: PartitionConfig,
 }
 
+/// Which placement code one partition run takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placer {
+    /// Legacy mode: random initial placement and the lowest-index capacity
+    /// tie-break, by linear scans over the workers.
+    Legacy,
+    /// Load-aware mode, answered by the [`CandidateIndex`].
+    Indexed,
+    /// Load-aware mode by the original linear scans: the reference the
+    /// index is checked against.
+    #[cfg(test)]
+    Scan,
+}
+
+/// The residual capacity `Cap[node]` of one partition run, plus, in
+/// load-aware mode, the candidate index over it.
+struct Bins {
+    cap: Vec<i64>,
+    index: Option<CandidateIndex>,
+}
+
+/// Every worker ordered exactly as load-aware placement prefers it: by
+/// capacity, then, among equal capacities, the calmest — the lowest
+/// recent p99, then the least resident memory, then the rotated index.
+///
+/// The calm order does not change within a partition, so it is computed
+/// once as a rank (larger is calmer), unique because the rotated index
+/// is. A worker's key packs its capacity above its rank; capacity stays
+/// within `0..=WorkerInfo::capacity` (a `u32`) for the whole partition,
+/// so comparing keys compares `(cap, rank)`, and the roomiest worker and
+/// the tightest fit are O(log W) lookups.
+struct CandidateIndex {
+    rank: Vec<u32>,
+    /// The worker holding each rank.
+    worker_of_rank: Vec<usize>,
+    keys: BTreeSet<u64>,
+}
+
+impl CandidateIndex {
+    fn new(workers: &[WorkerInfo], cap: &[i64], rot: usize) -> Self {
+        let n = workers.len();
+        let mut worker_of_rank: Vec<usize> = (0..n).collect();
+        worker_of_rank.sort_unstable_by_key(|&w| {
+            let l = workers[w].load;
+            (
+                Reverse(l.recent_p99_ms),
+                Reverse(l.mem_used_bytes),
+                Reverse((w + n - rot) % n),
+            )
+        });
+        let mut rank = vec![0; n];
+        for (r, &w) in worker_of_rank.iter().enumerate() {
+            rank[w] = r as u32;
+        }
+        let mut index = CandidateIndex {
+            rank,
+            worker_of_rank,
+            keys: BTreeSet::new(),
+        };
+        index.keys = (0..n).map(|w| index.key(w, cap[w])).collect();
+        index
+    }
+
+    fn key(&self, worker: usize, cap: i64) -> u64 {
+        debug_assert!((0..=i64::from(u32::MAX)).contains(&cap));
+        (cap as u64) << 32 | u64::from(self.rank[worker])
+    }
+
+    fn worker(&self, key: u64) -> usize {
+        self.worker_of_rank[(key & u64::from(u32::MAX)) as usize]
+    }
+}
+
+impl Bins {
+    fn new(workers: &[WorkerInfo], rot: usize, indexed: bool) -> Self {
+        let cap: Vec<i64> = workers.iter().map(|w| i64::from(w.capacity)).collect();
+        let index = indexed.then(|| CandidateIndex::new(workers, &cap, rot));
+        Bins { cap, index }
+    }
+
+    /// Changes one worker's capacity, keeping the index in step.
+    fn adjust(&mut self, worker: usize, delta: i64) {
+        if let Some(index) = &mut self.index {
+            if delta != 0 {
+                index.keys.remove(&index.key(worker, self.cap[worker]));
+                index
+                    .keys
+                    .insert(index.key(worker, self.cap[worker] + delta));
+            }
+        }
+        self.cap[worker] += delta;
+    }
+
+    fn max_cap(&self) -> i64 {
+        match &self.index {
+            Some(index) => index.keys.last().map_or(0, |&k| (k >> 32) as i64),
+            None => self.cap.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// The worker with the most capacity, calmest among equals, if it
+    /// holds `need`. Load-aware worst fit; also load-aware initial
+    /// placement.
+    fn roomiest(&self, need: i64) -> Option<usize> {
+        let index = self.index.as_ref()?;
+        let &top = index.keys.last()?;
+        ((top >> 32) as i64 >= need).then(|| index.worker(top))
+    }
+
+    /// The worker with the least capacity that still holds `need`,
+    /// calmest among equals. Load-aware best fit.
+    fn tightest(&self, need: i64) -> Option<usize> {
+        let index = self.index.as_ref()?;
+        let need = u64::try_from(need.max(0))
+            .ok()
+            .filter(|&n| n <= u64::from(u32::MAX))?;
+        let &fit = index.keys.range(need << 32..).next()?;
+        let last_of_cap = fit | u64::from(u32::MAX);
+        let &calmest = index.keys.range(..=last_of_cap).next_back()?;
+        Some(index.worker(calmest))
+    }
+}
+
+/// The data affinity of a merged group: how many bytes each worker
+/// exchanges with it over data edges that cross the group's boundary.
+/// Lives for one partition; each merge clears only the workers it touched.
+struct Affinity {
+    /// Per worker; non-zero only for the workers in `touched`.
+    bytes: Vec<u64>,
+    touched: Vec<usize>,
+}
+
+impl Affinity {
+    fn new(workers: usize) -> Self {
+        Affinity {
+            bytes: vec![0; workers],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Sums the affinity of `gs ∪ ge`.
+    fn collect(
+        &mut self,
+        dag: &WorkflowDag,
+        group_of: &[usize],
+        worker_of_group: &[usize],
+        gs: usize,
+        ge: usize,
+    ) {
+        for d in dag.data_edges() {
+            let p = d.producer.index();
+            let c = d.consumer.index();
+            let p_in = group_of[p] == gs || group_of[p] == ge;
+            let c_in = group_of[c] == gs || group_of[c] == ge;
+            if p_in != c_in && d.bytes > 0 {
+                let outside = if p_in { c } else { p };
+                let w = worker_of_group[group_of[outside]];
+                if self.bytes[w] == 0 {
+                    self.touched.push(w);
+                }
+                self.bytes[w] += d.bytes;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        for w in self.touched.drain(..) {
+            self.bytes[w] = 0;
+        }
+    }
+}
+
 impl GraphScheduler {
     /// A scheduler with explicit configuration.
     pub fn new(config: PartitionConfig) -> Self {
@@ -330,6 +506,25 @@ impl GraphScheduler {
         quota: u64,
         rng: &mut SimRng,
     ) -> Result<Assignment, ScheduleError> {
+        let placer = if self.config.placement_config.enabled {
+            Placer::Indexed
+        } else {
+            Placer::Legacy
+        };
+        self.run(dag, workers, metrics, contention, quota, rng, placer)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        dag: &WorkflowDag,
+        workers: &[WorkerInfo],
+        metrics: &RuntimeMetrics,
+        contention: &ContentionSet,
+        quota: u64,
+        rng: &mut SimRng,
+        placer: Placer,
+    ) -> Result<Assignment, ScheduleError> {
         if workers.is_empty() {
             return Err(ScheduleError::NoWorkers);
         }
@@ -345,10 +540,10 @@ impl GraphScheduler {
         // different workers across successive partitions instead of always
         // on index 0. Legacy mode draws nothing here, keeping the RNG
         // stream — and therefore every historical golden — bit-identical.
-        let rot = if self.config.placement_config.enabled {
-            (rng.next_u64() % workers.len() as u64) as usize
-        } else {
+        let rot = if placer == Placer::Legacy {
             0
+        } else {
+            (rng.next_u64() % workers.len() as u64) as usize
         };
 
         let n = dag.node_count();
@@ -365,19 +560,31 @@ impl GraphScheduler {
             .collect();
 
         // Line 1: singleton groups on random workers (hash partition).
-        let mut cap: Vec<i64> = workers.iter().map(|w| i64::from(w.capacity)).collect();
+        let mut bins = Bins::new(workers, rot, placer == Placer::Indexed);
         let mut group_of: Vec<usize> = (0..n).collect();
         // members[g] empty ⇒ group g was absorbed.
         let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut worker_of_group: Vec<usize> = Vec::with_capacity(n);
         for &node_demand in demand.iter().take(n) {
-            let w = self
-                .place_initial(workers, &cap, node_demand, rot, rng)
-                .ok_or_else(|| ScheduleError::InsufficientCapacity {
-                    required: node_demand,
-                    largest_free: cap.iter().copied().max().unwrap_or(0).max(0) as u32,
-                })?;
-            cap[w] -= i64::from(node_demand);
+            let need = i64::from(node_demand);
+            let w = match placer {
+                Placer::Legacy => {
+                    let feasible: Vec<usize> = (0..workers.len())
+                        .filter(|&w| bins.cap[w] >= need)
+                        .collect();
+                    rng.pick(&feasible).copied()
+                }
+                // The least-loaded feasible worker: most residual capacity,
+                // then the calmest tail and memory, then the rotated index.
+                Placer::Indexed => bins.roomiest(need),
+                #[cfg(test)]
+                Placer::Scan => reference::place_initial(workers, &bins.cap, node_demand, rot),
+            }
+            .ok_or_else(|| ScheduleError::InsufficientCapacity {
+                required: node_demand,
+                largest_free: bins.max_cap().max(0) as u32,
+            })?;
+            bins.adjust(w, -need);
             worker_of_group.push(w);
         }
 
@@ -387,6 +594,7 @@ impl GraphScheduler {
 
         let group_demand =
             |members: &[usize], demand: &[u32]| -> u32 { members.iter().map(|&m| demand[m]).sum() };
+        let mut affinity: Option<Affinity> = None;
 
         // Lines 3–26.
         let mut merges = 0;
@@ -405,7 +613,7 @@ impl GraphScheduler {
             });
             // Line 5: descending weight.
             let mut edges: Vec<EdgeId> = cpath_edges;
-            edges.sort_by_key(|&e| std::cmp::Reverse(dag.edge(e).weight));
+            edges.sort_by_key(|&e| Reverse(dag.edge(e).weight));
 
             let mut merged = false;
             for eid in edges {
@@ -417,19 +625,27 @@ impl GraphScheduler {
                 }
                 // Lines 10–12: capacity feasibility. Free both groups'
                 // demands, then check the best fit.
-                let n_start = group_demand(&members[gs], &demand);
-                let n_end = group_demand(&members[ge], &demand);
-                let need = i64::from(n_start) + i64::from(n_end);
-                let fits_somewhere = (0..workers.len()).any(|w| {
-                    let mut free = cap[w];
-                    if worker_of_group[gs] == w {
-                        free += i64::from(n_start);
+                let n_start = i64::from(group_demand(&members[gs], &demand));
+                let n_end = i64::from(group_demand(&members[ge], &demand));
+                let need = n_start + n_end;
+                let (ws, we) = (worker_of_group[gs], worker_of_group[ge]);
+                let freed = |w: usize| {
+                    let mut free = bins.cap[w];
+                    if w == ws {
+                        free += n_start;
                     }
-                    if worker_of_group[ge] == w {
-                        free += i64::from(n_end);
+                    if w == we {
+                        free += n_end;
                     }
-                    free >= need
-                });
+                    free
+                };
+                let fits_somewhere = if placer == Placer::Indexed {
+                    // Freeing raises only ws and we, so the roomiest worker
+                    // afterwards is one of them or the index's top.
+                    freed(ws).max(freed(we)).max(bins.max_cap()) >= need
+                } else {
+                    (0..workers.len()).any(|w| freed(w) >= need)
+                };
                 if !fits_somewhere {
                     continue;
                 }
@@ -455,31 +671,42 @@ impl GraphScheduler {
                     continue;
                 }
                 // Line 21: bin-pack the merged group onto a worker.
-                cap[worker_of_group[gs]] += i64::from(n_start);
-                cap[worker_of_group[ge]] += i64::from(n_end);
-                let target = if self.config.placement_config.enabled {
-                    self.place_merged(
+                bins.adjust(ws, n_start);
+                bins.adjust(we, n_end);
+                let target = match placer {
+                    Placer::Legacy => {
+                        let cap = &bins.cap;
+                        let candidates = (0..workers.len()).filter(|&w| cap[w] >= need);
+                        match self.config.placement {
+                            PlacementStrategy::BestFit => candidates.min_by_key(|&w| (cap[w], w)),
+                            PlacementStrategy::WorstFit => {
+                                candidates.max_by_key(|&w| (cap[w], Reverse(w)))
+                            }
+                        }
+                    }
+                    Placer::Indexed => {
+                        let affinity = affinity.get_or_insert_with(|| Affinity::new(workers.len()));
+                        affinity.collect(dag, &group_of, &worker_of_group, gs, ge);
+                        let target = self.place_merged(&bins, affinity, need);
+                        affinity.clear();
+                        target
+                    }
+                    #[cfg(test)]
+                    Placer::Scan => reference::place_merged(
+                        &self.config,
                         dag,
                         workers,
-                        &cap,
+                        &bins.cap,
                         &group_of,
                         &worker_of_group,
                         gs,
                         ge,
                         need,
                         rot,
-                    )
-                } else {
-                    let candidates = (0..workers.len()).filter(|&w| cap[w] >= need);
-                    match self.config.placement {
-                        PlacementStrategy::BestFit => candidates.min_by_key(|&w| (cap[w], w)),
-                        PlacementStrategy::WorstFit => {
-                            candidates.max_by_key(|&w| (cap[w], std::cmp::Reverse(w)))
-                        }
-                    }
+                    ),
                 }
                 .expect("fits_somewhere guaranteed a target");
-                cap[target] -= need;
+                bins.adjust(target, -need);
                 // Lines 22–24: merge ge into gs.
                 let moved = std::mem::take(&mut members[ge]);
                 for &m in &moved {
@@ -532,40 +759,6 @@ impl GraphScheduler {
         })
     }
 
-    /// Initial placement among workers that can host `demand` (Algorithm 1
-    /// line 1). Legacy mode picks uniformly at random (the paper's hash
-    /// partition); load-aware mode picks the least-loaded feasible worker
-    /// deterministically: most residual capacity, then the calmest recent
-    /// tail and memory pressure, then the rotated index.
-    fn place_initial(
-        &self,
-        workers: &[WorkerInfo],
-        cap: &[i64],
-        demand: u32,
-        rot: usize,
-        rng: &mut SimRng,
-    ) -> Option<usize> {
-        if self.config.placement_config.enabled {
-            let n = cap.len();
-            (0..n)
-                .filter(|&w| cap[w] >= i64::from(demand))
-                .max_by_key(|&w| {
-                    let l = workers[w].load;
-                    (
-                        cap[w],
-                        std::cmp::Reverse(l.recent_p99_ms),
-                        std::cmp::Reverse(l.mem_used_bytes),
-                        std::cmp::Reverse((w + n - rot) % n),
-                    )
-                })
-        } else {
-            let feasible: Vec<usize> = (0..cap.len())
-                .filter(|&w| cap[w] >= i64::from(demand))
-                .collect();
-            rng.pick(&feasible).copied()
-        }
-    }
-
     /// Load- and locality-aware variant of Algorithm 1's line 21: among the
     /// workers that can host the merged group `gs ∪ ge`, prefer (1) the
     /// worker already holding the heaviest data traffic with the merged
@@ -574,62 +767,29 @@ impl GraphScheduler {
     /// live load, with the rotated index as the final deterministic
     /// tie-break. Affinity below `locality_threshold_bytes` is ignored so
     /// trivial edges cannot override load balancing.
-    #[allow(clippy::too_many_arguments)]
-    fn place_merged(
-        &self,
-        dag: &WorkflowDag,
-        workers: &[WorkerInfo],
-        cap: &[i64],
-        group_of: &[usize],
-        worker_of_group: &[usize],
-        gs: usize,
-        ge: usize,
-        need: i64,
-        rot: usize,
-    ) -> Option<usize> {
-        let n = workers.len();
-        let mut affinity = vec![0u64; n];
-        for d in dag.data_edges() {
-            let p = d.producer.index();
-            let c = d.consumer.index();
-            let p_in = group_of[p] == gs || group_of[p] == ge;
-            let c_in = group_of[c] == gs || group_of[c] == ge;
-            if p_in != c_in {
-                let outside = if p_in { c } else { p };
-                affinity[worker_of_group[group_of[outside]]] += d.bytes;
-            }
-        }
+    ///
+    /// Only the few workers holding affinity are scored one by one; when
+    /// none qualifies every candidate ties on affinity, and the pick is one
+    /// index lookup.
+    fn place_merged(&self, bins: &Bins, affinity: &Affinity, need: i64) -> Option<usize> {
+        let Affinity { bytes, touched } = affinity;
         let threshold = self.config.placement_config.locality_threshold_bytes;
-        let aff = |w: usize| {
-            if affinity[w] >= threshold {
-                affinity[w]
-            } else {
-                0
+        let local = touched
+            .iter()
+            .copied()
+            .filter(|&w| bytes[w] >= threshold && bins.cap[w] >= need);
+        let rank = &bins.index.as_ref()?.rank;
+        let strategy = self.config.placement;
+        let best_local = match strategy {
+            PlacementStrategy::BestFit => {
+                local.max_by_key(|&w| (bytes[w], Reverse(bins.cap[w]), rank[w]))
             }
+            PlacementStrategy::WorstFit => local.max_by_key(|&w| (bytes[w], bins.cap[w], rank[w])),
         };
-        let candidates = (0..n).filter(|&w| cap[w] >= need);
-        match self.config.placement {
-            PlacementStrategy::BestFit => candidates.max_by_key(|&w| {
-                let l = workers[w].load;
-                (
-                    aff(w),
-                    std::cmp::Reverse(cap[w]),
-                    std::cmp::Reverse(l.recent_p99_ms),
-                    std::cmp::Reverse(l.mem_used_bytes),
-                    std::cmp::Reverse((w + n - rot) % n),
-                )
-            }),
-            PlacementStrategy::WorstFit => candidates.max_by_key(|&w| {
-                let l = workers[w].load;
-                (
-                    aff(w),
-                    cap[w],
-                    std::cmp::Reverse(l.recent_p99_ms),
-                    std::cmp::Reverse(l.mem_used_bytes),
-                    std::cmp::Reverse((w + n - rot) % n),
-                )
-            }),
-        }
+        best_local.or_else(|| match strategy {
+            PlacementStrategy::BestFit => bins.tightest(need),
+            PlacementStrategy::WorstFit => bins.roomiest(need),
+        })
     }
 }
 

@@ -35,6 +35,9 @@ pub struct MemStore {
     budgets: HashMap<WorkflowId, u64>,
     used: HashMap<WorkflowId, Gauge>,
     objects: HashMap<DataKey, u64>,
+    /// Σ `used(wf)` over every workflow, kept in step by every put and
+    /// delete so whole-node readers need not walk the workflows.
+    used_total: u64,
     hits: Counter,
     rejections: Counter,
     bytes_stored: Counter,
@@ -65,6 +68,11 @@ impl MemStore {
         self.used.get(&wf).map(|g| g.get()).unwrap_or(0)
     }
 
+    /// Bytes currently cached across all workflows.
+    pub fn used_total(&self) -> u64 {
+        self.used_total
+    }
+
     /// Peak bytes ever cached for a workflow.
     pub fn peak_used(&self, wf: WorkflowId) -> u64 {
         self.used.get(&wf).map(|g| g.peak()).unwrap_or(0)
@@ -85,6 +93,7 @@ impl MemStore {
         }
         self.objects.insert(key, bytes);
         self.used.entry(key.workflow).or_default().add(bytes);
+        self.used_total += bytes;
         self.bytes_stored.add(bytes);
         true
     }
@@ -108,6 +117,7 @@ impl MemStore {
             .get_mut(&key.workflow)
             .expect("usage tracked for stored object")
             .sub(bytes);
+        self.used_total -= bytes;
         Some(bytes)
     }
 
@@ -137,6 +147,7 @@ impl MemStore {
         for gauge in self.used.values_mut() {
             gauge.set(0);
         }
+        self.used_total = 0;
         lost
     }
 
