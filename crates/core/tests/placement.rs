@@ -317,3 +317,83 @@ fn legacy_mode_reports_are_placement_free_and_stable() {
     );
     assert_conserved(&a);
 }
+
+/// A three-stage chain whose stages fan out wider than one worker's
+/// partition capacity allows to co-locate, so every stage boundary is a
+/// cross-worker state sync.
+fn spread_chain(name: &str) -> Workflow {
+    Workflow::steps(
+        name,
+        Step::sequence(vec![
+            Step::foreach("split", FunctionProfile::with_millis(40, 1 << 20), 2),
+            Step::foreach("map", FunctionProfile::with_millis(150, 1 << 20), 2),
+            Step::foreach("reduce", FunctionProfile::with_millis(30, 0), 2),
+        ]),
+    )
+}
+
+/// A skew rebalance that lands after an invocation began but before a
+/// state sync reaches a worker that has not seen the invocation yet must
+/// not re-route it: the receiving engine follows the invocation's pinned
+/// deployment, not the one the rebalance just made current. Routing by
+/// the newer assignment strands successors, and invocations never finish.
+#[test]
+fn rebalance_between_begin_and_sync_keeps_the_pinned_route() {
+    let config = ClusterConfig {
+        trace: true,
+        partition_capacity: 3,
+        placement_config: PlacementConfig {
+            skew_threshold_pct: 100,
+            rebalance_cooldown: 1,
+            ..PlacementConfig::default()
+        },
+        ..aware_config(3)
+    };
+    let mut cluster = Cluster::new(config).expect("valid config");
+    cluster
+        .register(
+            &spread_chain("spread"),
+            ClientConfig::OpenLoop {
+                per_minute: 300.0,
+                invocations: 12,
+            },
+        )
+        .expect("registers");
+    cluster.run_until_idle();
+    let trace = cluster.take_trace();
+    let report = cluster.report();
+
+    // The scenario must contain the race: a rebalance strictly between an
+    // invocation's arrival and a state sync sent for it.
+    let mut arrived = HashMap::new();
+    let mut rebalances = Vec::new();
+    let mut raced = 0;
+    for ev in &trace {
+        match ev {
+            TraceEvent::InvocationArrived { invocation, at, .. } => {
+                arrived.insert(*invocation, *at);
+            }
+            TraceEvent::PlacementRebalanced { at, .. } => rebalances.push(*at),
+            TraceEvent::StateSyncSent { invocation, at, .. } => {
+                let since = arrived[invocation];
+                if rebalances.iter().any(|r| since < *r && r <= at) {
+                    raced += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        raced > 0,
+        "no rebalance landed between an arrival and its syncs: {:?}",
+        report.placement
+    );
+
+    let wf = &report.workflows["spread"];
+    assert_eq!(
+        (wf.completed, wf.timeouts, wf.dead_lettered),
+        (wf.sent, 0, 0),
+        "pinned invocations must complete on their own route"
+    );
+    assert_conserved(&report);
+}

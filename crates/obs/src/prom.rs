@@ -572,7 +572,7 @@ pub fn prometheus_worker_loads(loads: &[(NodeId, WorkerLoad, EngineLoad)]) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasflow_core::{ClientConfig, Cluster, ClusterConfig};
+    use faasflow_core::{ClientConfig, Cluster, ClusterConfig, ScheduleMode};
     use faasflow_sim::SimDuration;
     use faasflow_wdl::{FunctionProfile, Step, Workflow};
 
@@ -615,5 +615,69 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic() {
         assert_eq!(snapshot_of_a_small_run(), snapshot_of_a_small_run());
+    }
+
+    /// Sum of one `faasflow_worker_load` gauge over every node.
+    fn gauge_sum(text: &str, gauge: &str) -> u64 {
+        let label = format!("gauge=\"{gauge}\"}}");
+        text.lines()
+            .filter(|line| line.contains(&label))
+            .map(|line| {
+                let (_, value) = line.rsplit_once(' ').expect("metric and value");
+                value.parse::<u64>().expect("integer gauge")
+            })
+            .sum()
+    }
+
+    /// The per-worker load gauges of a drained run: engines hold no live
+    /// invocation, and under WorkerSP the engines' local groups add up to
+    /// the groups of the current deployments (the central MasterSP engine
+    /// hosts none, so every worker engine reports 0).
+    #[test]
+    fn worker_load_gauges_match_the_deployments() {
+        for mode in [ScheduleMode::WorkerSp, ScheduleMode::MasterSp] {
+            let mut cluster = Cluster::new(ClusterConfig {
+                mode,
+                faastore: mode == ScheduleMode::WorkerSp,
+                workers: 4,
+                partition_capacity: 3,
+                ..ClusterConfig::default()
+            })
+            .expect("valid config");
+            let mut ids = Vec::new();
+            for name in ["x", "y"] {
+                let wf = Workflow::steps(
+                    name,
+                    Step::sequence(vec![
+                        Step::foreach("fan", FunctionProfile::with_millis(20, 1 << 20), 2),
+                        Step::task("join", FunctionProfile::with_millis(10, 0)),
+                    ]),
+                );
+                ids.push(
+                    cluster
+                        .register(&wf, ClientConfig::ClosedLoop { invocations: 3 })
+                        .expect("registers"),
+                );
+            }
+            cluster.run_until_idle();
+            let snapshot = cluster.worker_load_snapshot();
+            assert_eq!(snapshot.len(), 4);
+            let text = prometheus_worker_loads(&snapshot);
+            let groups: usize = ids
+                .iter()
+                .flat_map(|&wf| cluster.distribution(wf))
+                .map(|row| row.groups)
+                .sum();
+            assert!(groups >= 2, "{mode:?}: {groups} groups");
+            let expected = match mode {
+                ScheduleMode::WorkerSp => groups,
+                ScheduleMode::MasterSp => 0,
+            };
+            let local: usize = snapshot.iter().map(|(_, _, e)| e.local_groups).sum();
+            assert_eq!(local, expected, "{mode:?}");
+            assert_eq!(gauge_sum(&text, "engine_local_groups"), expected as u64);
+            assert!(snapshot.iter().all(|(_, _, e)| e.live_invocations == 0));
+            assert_eq!(gauge_sum(&text, "engine_live_invocations"), 0, "{mode:?}");
+        }
     }
 }
