@@ -50,7 +50,7 @@ use faasflow_core::{
     ClientConfig, Cluster, ClusterConfig, EngineCrash, EngineTarget, FaultPlan, JournalConfig,
     NetFault, NodeCrash, ScheduleMode, StorageFault, StorageFaultKind,
 };
-use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
+use faasflow_engine::{Deployed, MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_scheduler::{
     ContentionSet, GraphScheduler, PartitionConfig, PlacementConfig, PlacementStrategy,
     RuntimeMetrics, WorkerInfo, WorkerLoad,
@@ -2529,16 +2529,20 @@ fn perf(quick: bool) {
                 .expect("partition succeeds"),
         );
         let (wf, inv) = (WorkflowId::new(0), InvocationId::new(0));
+        let deployed = Deployed {
+            dag: dag.clone(),
+            assignment: assignment.clone(),
+            seed: 9,
+        };
         let base = median_us(reps, || {
             let mut engine = MasterEngine::new();
-            engine.install(wf, dag.clone(), assignment.clone(), 9);
-            let mut pending = engine.begin_invocation(wf, inv);
+            let mut pending = engine.begin_invocation(wf, inv, &deployed);
             let mut exits = 0;
             while let Some(action) = pending.pop() {
                 match action {
                     MasterAction::AssignTask { function, .. } => {
                         for _ in 0..dag.node(function).parallelism.max(1) {
-                            pending.extend(engine.on_state_return(wf, inv, function));
+                            pending.extend(engine.on_state_return(wf, inv, &deployed, function));
                         }
                     }
                     MasterAction::ExitComplete { .. } => exits += 1,
@@ -2548,17 +2552,11 @@ fn perf(quick: bool) {
             exits
         });
         let us = median_us(reps, || {
-            let mut engines: Vec<WorkerEngine> = workers
-                .iter()
-                .map(|w| {
-                    let mut e = WorkerEngine::new(w.node);
-                    e.install(wf, dag.clone(), assignment.clone(), 9);
-                    e
-                })
-                .collect();
+            let mut engines: Vec<WorkerEngine> =
+                workers.iter().map(|w| WorkerEngine::new(w.node)).collect();
             let mut pending: Vec<WorkerAction> = engines
                 .iter_mut()
-                .flat_map(|e| e.begin_invocation(wf, inv))
+                .flat_map(|e| e.begin_invocation(wf, inv, &deployed))
                 .collect();
             let mut exits = 0;
             while let Some(action) = pending.pop() {
@@ -2570,7 +2568,9 @@ fn perf(quick: bool) {
                         }
                     }
                     WorkerAction::SyncState { to, completed, .. } => {
-                        pending.extend(engines[to.index() - 1].on_state_sync(wf, inv, completed));
+                        pending.extend(
+                            engines[to.index() - 1].on_state_sync(wf, inv, &deployed, completed),
+                        );
                     }
                     WorkerAction::ExitComplete { .. } => exits += 1,
                 }

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use faasflow_container::{Admission, ContainerManager, StartKind};
-use faasflow_engine::{MasterAction, MasterEngine, WorkerAction, WorkerEngine};
+use faasflow_engine::{Deployed, MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_net::{Flow, FlowId, FlowNet, LinkFaultTable, LinkQuality, NicSpec};
 use faasflow_scheduler::{
     Assignment, ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler,
@@ -47,8 +47,8 @@ use crate::health::{HealthDetector, HealthReport, HealthTransition};
 use crate::invocation::{InstanceState, InstanceToken, InvState};
 use crate::journal::{JournalRecord, TerminalOutcome};
 use crate::metrics::{
-    DistributionRow, FaultReport, LoopProfile, OverloadReport, PlacementReport, RecoveryReport,
-    RunReport, WorkerUtilization, WorkflowMetrics,
+    DistributionRow, EngineLoad, FaultReport, LoopProfile, OverloadReport, PlacementReport,
+    RecoveryReport, RunReport, WorkerUtilization, WorkflowMetrics,
 };
 use crate::overload::{AdmissionConfig, BackpressureConfig, P2Quantile, ShedPolicy};
 use crate::sample::{ClusterSample, NodeSample, NodeSeries, ResourceSeriesReport, Ring};
@@ -356,11 +356,17 @@ impl Event {
 
 /// Per-workflow cluster state. The workflow's name lives in the cluster's
 /// interned name table, keyed by the dense workflow id.
+///
+/// The map of these is the one deployment table: engines keep no copy of
+/// it and are handed the [`Deployed`] context they need on each call.
 struct WorkflowState {
-    /// Mutable master copy of the DAG (edge weights evolve with feedback).
-    dag: WorkflowDag,
-    /// Snapshot deployed to engines for the current version.
-    dag_arc: Arc<WorkflowDag>,
+    /// The DAG the Graph Scheduler partitions. Feedback refines its edge
+    /// weights through `Arc::make_mut`, which copies it only while a
+    /// deployment or a live invocation still shares the old snapshot.
+    dag: Arc<WorkflowDag>,
+    /// The current version: the DAG snapshot and placement of the last
+    /// successful deploy, and the workflow's switch-arm seed.
+    deployed: Deployed,
     deployment: DeploymentManager,
     client: ClientConfig,
     contention: ContentionSet,
@@ -370,7 +376,6 @@ struct WorkflowState {
     critical_exec: SimDuration,
     sent: u32,
     completed_since_partition: u32,
-    arm_seed: u64,
 }
 
 /// The FaaSFlow cluster simulation.
@@ -755,7 +760,7 @@ impl Cluster {
             reference_bandwidth: self.config.storage_bandwidth,
             ..ParserConfig::default()
         });
-        let dag = parser.parse(workflow)?;
+        let dag = Arc::new(parser.parse(workflow)?);
         let wf = WorkflowId::new(self.next_workflow);
         self.next_workflow += 1;
 
@@ -767,7 +772,12 @@ impl Cluster {
         let mut state = WorkflowState {
             feedback: FeedbackCollector::new(&dag),
             critical_exec: dag.critical_path_exec(),
-            dag_arc: Arc::new(dag.clone()),
+            // Nothing placed yet; the deploy below fills the assignment in.
+            deployed: Deployed {
+                dag: dag.clone(),
+                assignment: Arc::default(),
+                seed: self.rng.next_u64(),
+            },
             dag,
             deployment: DeploymentManager::new(),
             client,
@@ -776,7 +786,6 @@ impl Cluster {
             quota: q,
             sent: 0,
             completed_since_partition: 0,
-            arm_seed: self.rng.next_u64(),
         };
         self.partition_and_deploy(wf, &mut state)?;
         self.workflows.insert(wf, state);
@@ -826,10 +835,10 @@ impl Cluster {
     ///
     /// Panics if `wf` is unknown.
     pub fn distribution(&self, wf: WorkflowId) -> Vec<DistributionRow> {
-        let ws = &self.workflows[&wf];
-        let (_, assignment) = ws.deployment.current().expect("workflow deployed");
-        assignment
-            .distribution(&ws.dag)
+        let deployed = &self.workflows[&wf].deployed;
+        deployed
+            .assignment
+            .distribution(&deployed.dag)
             .into_iter()
             .map(|(worker, groups, functions)| DistributionRow {
                 worker,
@@ -840,17 +849,22 @@ impl Cluster {
     }
 
     /// Live per-worker load exactly as the placement layer sees it,
-    /// alongside each worker engine's own load report — the surface behind
-    /// the per-worker load gauges in `faasflow-obs`.
-    pub fn worker_load_snapshot(&self) -> Vec<(NodeId, WorkerLoad, faasflow_engine::EngineLoad)> {
+    /// alongside each worker engine's load — the surface behind the
+    /// per-worker load gauges in `faasflow-obs`. Under MasterSP the worker
+    /// engines host no groups: the central engine routes every task.
+    pub fn worker_load_snapshot(&self) -> Vec<(NodeId, WorkerLoad, EngineLoad)> {
         let loads = self.worker_loads();
+        let groups = match self.config.mode {
+            ScheduleMode::WorkerSp => self.placed_group_counts(),
+            ScheduleMode::MasterSp => vec![0; loads.len()],
+        };
         (0..self.config.workers as usize)
             .map(|w| {
-                (
-                    self.config.worker_node(w as u32),
-                    loads[w],
-                    self.worker_engines[w].load(),
-                )
+                let engine = EngineLoad {
+                    live_invocations: self.worker_engines[w].live_invocations(),
+                    local_groups: groups[w] as usize,
+                };
+                (self.config.worker_node(w as u32), loads[w], engine)
             })
             .collect()
     }
@@ -1321,44 +1335,47 @@ impl Cluster {
                 result = self.timed_partition(state, &workers);
             }
         }
-        let assignment = result?;
+        let assignment = Arc::new(result?);
+        let old = std::mem::replace(&mut state.deployed.assignment, assignment.clone());
+        state.deployed.dag = state.dag.clone();
+        let (_version, _retired) = state.deployment.deploy();
 
-        let assignment = Arc::new(assignment);
-        state.dag_arc = Arc::new(state.dag.clone());
-        let (_version, _retired) = state.deployment.deploy(assignment.clone());
-
-        // Install on the engines and budget the memstores.
-        match self.config.mode {
-            ScheduleMode::WorkerSp => {
-                for e in &mut self.worker_engines {
-                    e.install(
-                        wf,
-                        state.dag_arc.clone(),
-                        assignment.clone(),
-                        state.arm_seed,
-                    );
-                }
-            }
-            ScheduleMode::MasterSp => {
-                self.master_engine.install(
-                    wf,
-                    state.dag_arc.clone(),
-                    assignment.clone(),
-                    state.arm_seed,
-                );
+        // Each worker's memstore budget is the quota of the members placed
+        // on it. Only the workers hosting a group of the old or the new
+        // version can change; every other store already reads 0.
+        let mut budgets: BTreeMap<usize, u64> = BTreeMap::new();
+        for g in &old.groups {
+            if let Some(w) = self.config.worker_index(g.worker) {
+                budgets.insert(w, 0);
             }
         }
-        // Each worker's budget is the quota of the members placed on it;
-        // bucket the groups by worker in one pass.
-        let mut budgets = vec![0u64; self.config.workers as usize];
         for g in &assignment.groups {
             if let Some(w) = self.config.worker_index(g.worker) {
-                budgets[w] +=
+                *budgets.entry(w).or_insert(0) +=
                     quota::subset_quota(&state.dag, g.members.iter().copied(), self.config.mu);
             }
         }
-        for (store, budget) in self.faastores.iter_mut().zip(budgets) {
-            store.memstore_mut().set_budget(wf, budget);
+        for (w, budget) in budgets {
+            self.faastores[w].memstore_mut().set_budget(wf, budget);
+        }
+        // Cross-check the sparse writes against the dense per-worker
+        // budgets of the new version, over every store.
+        #[cfg(debug_assertions)]
+        {
+            let mut dense = vec![0u64; self.config.workers as usize];
+            for g in &assignment.groups {
+                if let Some(w) = self.config.worker_index(g.worker) {
+                    dense[w] +=
+                        quota::subset_quota(&state.dag, g.members.iter().copied(), self.config.mu);
+                }
+            }
+            for (w, (store, budget)) in self.faastores.iter().zip(dense).enumerate() {
+                debug_assert_eq!(
+                    store.memstore().budget(wf),
+                    budget,
+                    "memstore budget of {wf} on worker {w} drifted"
+                );
+            }
         }
         Ok(())
     }
@@ -1399,7 +1416,9 @@ impl Cluster {
         state.completed_since_partition = 0;
         let collector = std::mem::replace(&mut state.feedback, FeedbackCollector::new(&state.dag));
         let prev = state.prev_metrics.clone();
-        state.prev_metrics = collector.finish(&mut state.dag, &prev);
+        // The only writer of the DAG. A failed repartition below leaves the
+        // refined copy here and the deployed snapshot on the old one.
+        state.prev_metrics = collector.finish(Arc::make_mut(&mut state.dag), &prev);
         // Take the state out to satisfy the borrow checker, then reinsert.
         let mut state = self.workflows.remove(&wf).expect("workflow exists");
         let result = self.partition_and_deploy(wf, &mut state);
@@ -1438,8 +1457,8 @@ impl Cluster {
                     && self.worker_alive[worker]
                     && self.epoch_alive(wf, inv, epoch)
                 {
-                    self.pin_engine_invocation(worker, wf, inv);
-                    let actions = self.worker_engines[worker].begin_invocation(wf, inv);
+                    let pinned = self.pinned_deployment(wf, inv);
+                    let actions = self.worker_engines[worker].begin_invocation(wf, inv, &pinned);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1454,8 +1473,9 @@ impl Cluster {
                     && self.worker_alive[worker]
                     && self.epoch_alive(wf, inv, epoch)
                 {
-                    self.pin_engine_invocation(worker, wf, inv);
-                    let actions = self.worker_engines[worker].on_state_sync(wf, inv, completed);
+                    let pinned = self.pinned_deployment(wf, inv);
+                    let actions =
+                        self.worker_engines[worker].on_state_sync(wf, inv, &pinned, completed);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1822,11 +1842,12 @@ impl Cluster {
             at: now,
         });
         let version = state.deployment.invocation_started();
-        let assignment = state
-            .deployment
-            .assignment_arc(version)
-            .expect("current version has an assignment");
-        let mut inv_state = InvState::new(version, state.dag_arc.clone(), assignment, now);
+        let mut inv_state = InvState::new(
+            version,
+            state.deployed.dag.clone(),
+            state.deployed.assignment.clone(),
+            now,
+        );
         let timeout_at = now + self.config.timeout;
         inv_state.timeout_event = Some(self.queue.schedule(timeout_at, Event::Timeout { wf, inv }));
         self.metrics.get_mut(&wf).expect("metrics exist").sent += 1;
@@ -1898,27 +1919,21 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// WorkerSP: pins the invocation's engine-side context to its
-    /// cluster-side pinned deployment before the first `begin`/`sync`
-    /// event is processed there. Without this, an incremental rebalance
-    /// landing between an invocation's arrival and a delayed sync would
-    /// make the receiving engine route the live invocation by the *new*
-    /// assignment — stranding successors and breaking the data-placement
-    /// contract (a `LocalMem` put whose consumer moved elsewhere).
-    fn pin_engine_invocation(&mut self, worker: usize, wf: WorkflowId, inv: InvocationId) {
-        let Some(state) = self.invocations.get(&(wf, inv)) else {
-            return;
-        };
-        let Some(ws) = self.workflows.get(&wf) else {
-            return;
-        };
-        self.worker_engines[worker].ensure_invocation(
-            wf,
-            inv,
-            state.dag.clone(),
-            state.assignment.clone(),
-            ws.arm_seed,
-        );
+    /// WorkerSP: the deployment a live invocation was pinned to at
+    /// arrival, handed to an engine with each `begin`/`sync` delivery. An
+    /// engine seeing the invocation for the first time adopts it, so an
+    /// incremental rebalance landing between the arrival and a delayed
+    /// sync cannot make the receiving engine route the invocation by the
+    /// *new* assignment — which would strand successors and break the
+    /// data-placement contract (a `LocalMem` put whose consumer moved
+    /// elsewhere).
+    fn pinned_deployment(&self, wf: WorkflowId, inv: InvocationId) -> Deployed {
+        let state = &self.invocations[&(wf, inv)];
+        Deployed {
+            dag: state.dag.clone(),
+            assignment: state.assignment.clone(),
+            seed: self.workflows[&wf].deployed.seed,
+        }
     }
 
     /// WorkerSP: notify each worker hosting an entry node of the
@@ -2153,10 +2168,7 @@ impl Cluster {
     fn placed_group_counts(&self) -> Vec<u64> {
         let mut groups = vec![0u64; self.config.workers as usize];
         for ws in self.workflows.values() {
-            let Some((_, asg)) = ws.deployment.current() else {
-                continue;
-            };
-            for g in &asg.groups {
+            for g in &ws.deployed.assignment.groups {
                 if let Some(w) = self.config.worker_index(g.worker) {
                     groups[w] += 1;
                 }
@@ -2235,10 +2247,12 @@ impl Cluster {
     /// Returns how many workflows were re-placed.
     fn rebalance_workflows_on(&mut self, node: NodeId) -> u64 {
         let mut wfs = std::mem::take(&mut self.scratch.wf_ids);
-        wfs.extend(self.workflows.iter().filter_map(|(&wf, ws)| {
-            let (_, asg) = ws.deployment.current()?;
-            asg.involves(node).then_some(wf)
-        }));
+        wfs.extend(
+            self.workflows
+                .iter()
+                .filter(|(_, ws)| ws.deployed.assignment.involves(node))
+                .map(|(&wf, _)| wf),
+        );
         wfs.sort_unstable();
         let mut moved = 0u64;
         for &wf in &wfs {
@@ -2289,7 +2303,8 @@ impl Cluster {
         let actions = match msg {
             MasterInbox::Begin { wf, inv } => {
                 if self.invocation_alive(wf, inv) {
-                    self.master_engine.begin_invocation(wf, inv)
+                    let current = &self.workflows[&wf].deployed;
+                    self.master_engine.begin_invocation(wf, inv, current)
                 } else {
                     Vec::new()
                 }
@@ -2297,7 +2312,10 @@ impl Cluster {
             MasterInbox::StateReturn { wf, inv, function } => {
                 if self.invocation_alive(wf, inv) {
                     let was_done = self.master_engine.node_done(wf, inv, function);
-                    let actions = self.master_engine.on_state_return(wf, inv, function);
+                    let current = &self.workflows[&wf].deployed;
+                    let actions = self
+                        .master_engine
+                        .on_state_return(wf, inv, current, function);
                     if !was_done && self.master_engine.node_done(wf, inv, function) {
                         self.journal_append(
                             now,
@@ -3991,8 +4009,8 @@ impl Cluster {
         }
     }
 
-    /// WorkerSP crash recovery: engines route by their installed
-    /// assignment, so failover is a real redeploy — re-partition every
+    /// WorkerSP crash recovery: engines route new invocations by the
+    /// current deployment, so failover is a real redeploy — re-partition every
     /// workflow over the surviving workers, then restart each invocation
     /// that had incomplete work pinned to state the dead node lost.
     fn recover_worker_partition(&mut self, now: SimTime, w: usize, force: bool) {
@@ -4120,9 +4138,8 @@ impl Cluster {
     }
 
     /// Wipes an engine's volatile state — the trigger trackers, and for
-    /// the central engine its inbox and in-service task — and re-registers
-    /// every workflow's current deployment. Workflow contexts are
-    /// control-plane config, re-read at boot.
+    /// the central engine its inbox and in-service task. Deployments live
+    /// in the cluster's table, so the fresh engine needs no setup.
     fn reset_engine(&mut self, target: EngineTarget) {
         match target {
             EngineTarget::Master => {
@@ -4132,24 +4149,6 @@ impl Cluster {
             }
             EngineTarget::Worker(w) => {
                 self.worker_engines[w as usize] = WorkerEngine::new(self.config.worker_node(w));
-            }
-        }
-        let mut current: Vec<_> = self
-            .workflows
-            .iter()
-            .filter_map(|(&wf, ws)| {
-                let (version, _) = ws.deployment.current()?;
-                let assignment = ws.deployment.assignment_arc(version)?;
-                Some((wf, ws.dag_arc.clone(), assignment, ws.arm_seed))
-            })
-            .collect();
-        current.sort_unstable_by_key(|&(wf, ..)| wf);
-        for (wf, dag, assignment, seed) in current {
-            match target {
-                EngineTarget::Master => self.master_engine.install(wf, dag, assignment, seed),
-                EngineTarget::Worker(w) => {
-                    self.worker_engines[w as usize].install(wf, dag, assignment, seed)
-                }
             }
         }
     }
@@ -4292,16 +4291,15 @@ impl Cluster {
             if state.completed {
                 continue;
             }
-            // Route by the *installed* deployment, not the invocation's
-            // pinned assignment: the replaying engine was reinstalled with
-            // the current version, and its replay actions follow it — a
-            // sweep judging involvement by a stale pin would skip (or
-            // kill) invocations the engine actually schedules.
+            // Route by the *current* deployment, not the invocation's
+            // pinned assignment: the replaying engine is handed the current
+            // version, and its replay actions follow it — a sweep judging
+            // involvement by a stale pin would skip (or kill) invocations
+            // the engine actually schedules.
             let assignment = self
                 .workflows
                 .get(&wf)
-                .and_then(|ws| ws.deployment.current())
-                .map(|(_, a)| a);
+                .map(|ws| ws.deployed.assignment.as_ref());
             if node.is_some_and(|n| !assignment.is_some_and(|a| a.involves(n))) {
                 continue;
             }
@@ -4341,6 +4339,7 @@ impl Cluster {
                     let actions = self.master_engine.replay_invocation(
                         wf,
                         inv,
+                        &self.workflows[&wf].deployed,
                         &completed,
                         &already_propagated,
                         &inflight,
@@ -4352,6 +4351,7 @@ impl Cluster {
                     let actions = self.worker_engines[w].replay_invocation(
                         wf,
                         inv,
+                        &self.workflows[&wf].deployed,
                         &completed,
                         &already_propagated,
                         &inflight,
@@ -4424,14 +4424,9 @@ impl Cluster {
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
         let state = self.invocations.get_mut(&(wf, inv)).expect("checked above");
         let _ = ws.deployment.invocation_finished(state.version);
-        let version = ws.deployment.invocation_started();
-        let assignment = ws
-            .deployment
-            .assignment_arc(version)
-            .expect("current version has an assignment");
-        state.version = version;
-        state.dag = ws.dag_arc.clone();
-        state.assignment = assignment;
+        state.version = ws.deployment.invocation_started();
+        state.dag = ws.deployed.dag.clone();
+        state.assignment = ws.deployed.assignment.clone();
         // If the redeploy failed and the pinned partition still routes work
         // to a dead worker, the invocation cannot make progress.
         let routes_dead = state.dag.nodes().iter().any(|n| {

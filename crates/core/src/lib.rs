@@ -66,8 +66,8 @@ pub use health::{HealthConfig, HealthLevel, HealthReport, WorkerHealthSnapshot};
 pub use invocation::InstanceToken;
 pub use journal::{Journal, JournalConfig, JournalRecord, TerminalOutcome};
 pub use metrics::{
-    DistributionRow, EventTypeProfile, FaultReport, LoopProfile, OverloadReport, PlacementReport,
-    RecoveryReport, RunReport, WorkerUtilization, WorkflowReport,
+    DistributionRow, EngineLoad, EventTypeProfile, FaultReport, LoopProfile, OverloadReport,
+    PlacementReport, RecoveryReport, RunReport, WorkerUtilization, WorkflowReport,
 };
 pub use overload::{
     AdaptiveHedge, AdmissionConfig, BackpressureConfig, BreakerConfig, BreakerState, HedgeConfig,
@@ -77,5 +77,4 @@ pub use sample::{ClusterSample, NodeSample, NodeSeries, ResourceSeriesReport};
 pub use slo::{SloConfig, SloObjective, SloObjectiveSnapshot, SloReport, WindowMode};
 pub use trace::TraceEvent;
 // Placement-layer types threaded through the cluster's public surface.
-pub use faasflow_engine::EngineLoad;
 pub use faasflow_scheduler::{PlacementConfig, WorkerLoad};

@@ -556,6 +556,17 @@ pub struct EventTypeProfile {
     pub total_secs: f64,
 }
 
+/// One worker engine's load, reported next to the placement layer's
+/// [`faasflow_scheduler::WorkerLoad`] to the observability exporters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineLoad {
+    /// Live per-invocation trigger trackers held by the engine.
+    pub live_invocations: usize,
+    /// Function groups of the current deployments placed on the engine's
+    /// node (0 under MasterSP, whose central engine routes every task).
+    pub local_groups: usize,
+}
+
 /// Scheduler-distribution entry for Figure 15-style reports.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistributionRow {

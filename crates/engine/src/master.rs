@@ -14,16 +14,18 @@
 //! Placement uses the same [`Assignment`] as FaaSFlow ("we also modify the
 //! routing policy in HyperFlow-serverless to the same way as in FaaSFlow,
 //! which satisfies the control variate method", §5.1).
+//!
+//! The engine keeps no deployment table: the runtime passes the workflow's
+//! current [`Deployed`] context into every call, and the master routes by
+//! that version.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
 use faasflow_sim::{FunctionId, InvocationId, NodeId, WorkflowId};
-use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::TriggerTracker;
+use crate::Deployed;
 
 /// What the master engine asks the runtime to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,35 +62,17 @@ pub struct MasterEngineStats {
     pub state_returns: Counter,
 }
 
-#[derive(Debug, Clone)]
-struct WorkflowCtx {
-    dag: Arc<WorkflowDag>,
-    assignment: Arc<Assignment>,
-    seed: u64,
-}
-
 /// The central engine of the MasterSP baseline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MasterEngine {
-    workflows: HashMap<WorkflowId, WorkflowCtx>,
     invocations: HashMap<(WorkflowId, InvocationId), TriggerTracker>,
     stats: MasterEngineStats,
-}
-
-impl Default for MasterEngine {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MasterEngine {
     /// Creates an empty central engine.
     pub fn new() -> Self {
-        MasterEngine {
-            workflows: HashMap::new(),
-            invocations: HashMap::new(),
-            stats: MasterEngineStats::default(),
-        }
+        Self::default()
     }
 
     /// Message counters.
@@ -101,50 +85,14 @@ impl MasterEngine {
         self.invocations.len()
     }
 
-    /// The central engine's load report. `local_groups` is always 0: the
-    /// master routes task assignments, it hosts no function groups itself.
-    pub fn load(&self) -> crate::worker::EngineLoad {
-        crate::worker::EngineLoad {
-            live_invocations: self.invocations.len(),
-            installed_workflows: self.workflows.len(),
-            local_groups: 0,
-        }
-    }
-
-    /// Registers a workflow with its placement (the control-variate routing
-    /// of §5.1).
-    pub fn install(
-        &mut self,
-        workflow: WorkflowId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.workflows.insert(
-            workflow,
-            WorkflowCtx {
-                dag,
-                assignment,
-                seed,
-            },
-        );
-    }
-
-    /// Starts an invocation: triggers the DAG's entry nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// Starts an invocation: triggers the DAG's entry nodes. `ctx` is the
+    /// workflow's current deployment.
     pub fn begin_invocation(
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        ctx: &Deployed,
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("begin_invocation on uninstalled workflow")
-            .clone();
         let tracker = self
             .invocations
             .entry((workflow, invocation))
@@ -155,7 +103,7 @@ impl MasterEngine {
                 triggered.push(entry);
             }
         }
-        self.dispatch(workflow, invocation, triggered)
+        self.dispatch(workflow, invocation, ctx, triggered)
     }
 
     /// Handles an execution-state return from a worker: one executor
@@ -169,6 +117,7 @@ impl MasterEngine {
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        ctx: &Deployed,
         function: FunctionId,
     ) -> Vec<MasterAction> {
         self.stats.state_returns.inc();
@@ -178,7 +127,7 @@ impl MasterEngine {
         if !tracker.instance_done(function) {
             return Vec::new();
         }
-        self.node_completed(workflow, invocation, function)
+        self.node_completed(workflow, invocation, ctx, function)
     }
 
     /// Drops the invocation's state.
@@ -211,23 +160,15 @@ impl MasterEngine {
     ///
     /// Emitted `AssignTask`/`ExitComplete` actions may duplicate pre-crash
     /// ones; the runtime's dispatch and exit-report dedup drop those.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
     pub fn replay_invocation(
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        ctx: &Deployed,
         completed: &[FunctionId],
         already_propagated: &[FunctionId],
         inflight: &[(FunctionId, u32)],
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("replay on uninstalled workflow")
-            .clone();
         let mut tracker = TriggerTracker::new(ctx.dag.clone(), invocation, ctx.seed);
         // Mark every known completion up front so the cascades below can
         // neither re-trigger nor re-complete them.
@@ -250,7 +191,7 @@ impl MasterEngine {
                 }
             }
         }
-        actions.extend(self.dispatch(workflow, invocation, entry_triggered));
+        actions.extend(self.dispatch(workflow, invocation, ctx, entry_triggered));
         // Re-run each completed node's downstream effects through the
         // fresh tracker; virtual successors complete inline and cascade.
         let mut worklist: Vec<FunctionId> = completed.to_vec();
@@ -281,7 +222,7 @@ impl MasterEngine {
                 }
             }
         }
-        actions.extend(self.dispatch(workflow, invocation, triggered));
+        actions.extend(self.dispatch(workflow, invocation, ctx, triggered));
         // Seed in-flight instance counts: state returns that were lost at
         // the dead engine will never be re-sent.
         let tracker = self
@@ -301,13 +242,9 @@ impl MasterEngine {
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        ctx: &Deployed,
         function: FunctionId,
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("completion for uninstalled workflow")
-            .clone();
         let mut actions = Vec::new();
         // Work list of completed nodes to propagate (virtual chains may
         // cascade without leaving the master).
@@ -342,7 +279,7 @@ impl MasterEngine {
                 }
             }
         }
-        actions.extend(self.dispatch(workflow, invocation, triggered));
+        actions.extend(self.dispatch(workflow, invocation, ctx, triggered));
         actions
     }
 
@@ -352,13 +289,9 @@ impl MasterEngine {
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        ctx: &Deployed,
         triggered: Vec<FunctionId>,
     ) -> Vec<MasterAction> {
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("dispatch on uninstalled workflow")
-            .clone();
         let mut actions = Vec::new();
         for f in triggered {
             if ctx.dag.node(f).kind.is_function() {
@@ -376,7 +309,7 @@ impl MasterEngine {
                     .get_mut(&(workflow, invocation))
                     .expect("tracker alive in dispatch");
                 if tracker.instance_done(f) {
-                    actions.extend(self.node_completed(workflow, invocation, f));
+                    actions.extend(self.node_completed(workflow, invocation, ctx, f));
                 }
             }
         }
@@ -387,6 +320,8 @@ impl MasterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
     use faasflow_sim::SimRng;
     use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
@@ -394,7 +329,7 @@ mod tests {
     const WF: WorkflowId = WorkflowId::new(0);
     const INV: InvocationId = InvocationId::new(0);
 
-    fn build(step: Step, workers: u32) -> (Arc<WorkflowDag>, MasterEngine) {
+    fn build(step: Step, workers: u32) -> (Deployed, MasterEngine) {
         let wf = Workflow::steps("m", step);
         let dag = Arc::new(DagParser::default().parse(&wf).unwrap());
         let metrics = RuntimeMetrics::initial(&dag);
@@ -414,9 +349,12 @@ mod tests {
                 )
                 .unwrap(),
         );
-        let mut eng = MasterEngine::new();
-        eng.install(WF, dag.clone(), asg, 11);
-        (dag, eng)
+        let deployed = Deployed {
+            dag,
+            assignment: asg,
+            seed: 11,
+        };
+        (deployed, MasterEngine::new())
     }
 
     fn p(out: u64) -> FunctionProfile {
@@ -425,7 +363,7 @@ mod tests {
 
     #[test]
     fn chain_assigns_one_task_at_a_time() {
-        let (_dag, mut eng) = build(
+        let (d, mut eng) = build(
             Step::sequence(vec![
                 Step::task("a", p(10)),
                 Step::task("b", p(10)),
@@ -433,13 +371,13 @@ mod tests {
             ]),
             2,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(WF, INV, &d);
         assert_eq!(first.len(), 1);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
         assert_eq!(a, FunctionId::new(0));
-        let second = eng.on_state_return(WF, INV, a);
+        let second = eng.on_state_return(WF, INV, &d, a);
         assert_eq!(second.len(), 1);
         assert_eq!(eng.stats().tasks_assigned.get(), 2);
         assert_eq!(eng.stats().state_returns.get(), 1);
@@ -447,20 +385,20 @@ mod tests {
 
     #[test]
     fn parallel_assigns_both_branches_at_once() {
-        let (dag, mut eng) = build(
+        let (d, mut eng) = build(
             Step::sequence(vec![
                 Step::task("a", p(10)),
                 Step::parallel(vec![Step::task("x", p(1)), Step::task("y", p(1))]),
             ]),
             2,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(WF, INV, &d);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
         // a completes; the parallel virtual start cascades inline and both
         // branches are assigned together.
-        let actions = eng.on_state_return(WF, INV, a);
+        let actions = eng.on_state_return(WF, INV, &d, a);
         let assigned: Vec<FunctionId> = actions
             .iter()
             .filter_map(|act| match act {
@@ -470,33 +408,33 @@ mod tests {
             .collect();
         assert_eq!(assigned.len(), 2);
         for f in &assigned {
-            assert!(dag.node(*f).kind.is_function());
+            assert!(d.dag.node(*f).kind.is_function());
         }
     }
 
     #[test]
     fn exit_complete_fires_at_the_sink() {
-        let (_dag, mut eng) = build(
+        let (d, mut eng) = build(
             Step::sequence(vec![Step::task("a", p(10)), Step::task("b", p(0))]),
             1,
         );
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(WF, INV, &d);
         let MasterAction::AssignTask { function: a, .. } = first[0] else {
             panic!("expected an assignment");
         };
-        let second = eng.on_state_return(WF, INV, a);
+        let second = eng.on_state_return(WF, INV, &d, a);
         let MasterAction::AssignTask { function: b, .. } = second[0] else {
             panic!("expected an assignment");
         };
-        let last = eng.on_state_return(WF, INV, b);
+        let last = eng.on_state_return(WF, INV, &d, b);
         assert!(matches!(last[0], MasterAction::ExitComplete { function, .. } if function == b));
     }
 
     #[test]
     fn foreach_waits_for_all_state_returns() {
-        let (dag, mut eng) = build(Step::foreach("fe", p(0), 3), 2);
-        let fe = dag.nodes().iter().find(|n| n.name == "fe").unwrap().id;
-        let first = eng.begin_invocation(WF, INV);
+        let (d, mut eng) = build(Step::foreach("fe", p(0), 3), 2);
+        let fe = d.dag.nodes().iter().find(|n| n.name == "fe").unwrap().id;
+        let first = eng.begin_invocation(WF, INV, &d);
         // Entry is the virtual bracket, which cascades inline to assign fe.
         let assigned: Vec<FunctionId> = first
             .iter()
@@ -506,9 +444,9 @@ mod tests {
             })
             .collect();
         assert_eq!(assigned, vec![fe]);
-        assert!(eng.on_state_return(WF, INV, fe).is_empty());
-        assert!(eng.on_state_return(WF, INV, fe).is_empty());
-        let done = eng.on_state_return(WF, INV, fe);
+        assert!(eng.on_state_return(WF, INV, &d, fe).is_empty());
+        assert!(eng.on_state_return(WF, INV, &d, fe).is_empty());
+        let done = eng.on_state_return(WF, INV, &d, fe);
         assert!(
             done.iter()
                 .any(|a| matches!(a, MasterAction::ExitComplete { .. })),
@@ -518,8 +456,8 @@ mod tests {
 
     #[test]
     fn release_frees_state() {
-        let (_dag, mut eng) = build(Step::task("a", p(0)), 1);
-        eng.begin_invocation(WF, INV);
+        let (d, mut eng) = build(Step::task("a", p(0)), 1);
+        eng.begin_invocation(WF, INV, &d);
         assert_eq!(eng.live_invocations(), 1);
         eng.release_invocation(WF, INV);
         assert_eq!(eng.live_invocations(), 0);

@@ -8,17 +8,17 @@
 //! remote worker, never a task assignment.
 //!
 //! The engine is a pure state machine: it consumes completion/sync events
-//! and emits [`WorkerAction`]s for the cluster simulation to time.
+//! and emits [`WorkerAction`]s for the cluster simulation to time. It keeps
+//! no deployment table: the runtime passes the [`Deployed`] context into
+//! the calls that create an invocation's state.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use faasflow_scheduler::Assignment;
 use faasflow_sim::stats::Counter;
 use faasflow_sim::{FunctionId, InvocationId, NodeId, WorkflowId};
-use faasflow_wdl::WorkflowDag;
 
 use crate::trigger::TriggerTracker;
+use crate::Deployed;
 
 /// What the worker engine asks the runtime to do.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,42 +67,22 @@ pub struct WorkerEngineStats {
     pub triggers: Counter,
 }
 
-/// The engine's own view of its load, reported up to the cluster's
-/// placement layer and the observability exporters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineLoad {
-    /// Live per-invocation trigger trackers held by the engine.
-    pub live_invocations: usize,
-    /// Workflows with a sub-graph context installed.
-    pub installed_workflows: usize,
-    /// Function groups of those contexts placed on this node (0 for the
-    /// central engine, which routes rather than hosts).
-    pub local_groups: usize,
-}
-
-#[derive(Debug, Clone)]
-struct WorkflowCtx {
-    dag: Arc<WorkflowDag>,
-    assignment: Arc<Assignment>,
-    seed: u64,
-}
-
-/// One in-flight invocation: its trigger tracker plus the workflow context
-/// pinned when the invocation first touched this engine. Routing a live
-/// invocation through a *newer* installed assignment would strand it —
-/// the data-placement decisions and the other engines' sync targets all
-/// follow the pinned version (red-black deployment).
+/// One in-flight invocation: its trigger tracker plus the deployment it
+/// was pinned to when it first touched this engine. Routing a live
+/// invocation through a *newer* deployment would strand it — the
+/// data-placement decisions and the other engines' sync targets all follow
+/// the pinned version (red-black deployment).
 #[derive(Debug)]
 struct LiveInvocation {
     tracker: TriggerTracker,
-    ctx: WorkflowCtx,
+    ctx: Deployed,
 }
 
 impl LiveInvocation {
-    fn new(invocation: InvocationId, ctx: WorkflowCtx) -> Self {
+    fn new(invocation: InvocationId, ctx: &Deployed) -> Self {
         LiveInvocation {
             tracker: TriggerTracker::new(ctx.dag.clone(), invocation, ctx.seed),
-            ctx,
+            ctx: ctx.clone(),
         }
     }
 }
@@ -111,7 +91,6 @@ impl LiveInvocation {
 #[derive(Debug)]
 pub struct WorkerEngine {
     node: NodeId,
-    workflows: HashMap<WorkflowId, WorkflowCtx>,
     invocations: HashMap<(WorkflowId, InvocationId), LiveInvocation>,
     stats: WorkerEngineStats,
 }
@@ -121,7 +100,6 @@ impl WorkerEngine {
     pub fn new(node: NodeId) -> Self {
         WorkerEngine {
             node,
-            workflows: HashMap::new(),
             invocations: HashMap::new(),
             stats: WorkerEngineStats::default(),
         }
@@ -142,100 +120,20 @@ impl WorkerEngine {
         self.invocations.len()
     }
 
-    /// The engine's load report: live invocation structures, installed
-    /// workflow contexts, and how many of their groups are placed here.
-    pub fn load(&self) -> EngineLoad {
-        EngineLoad {
-            live_invocations: self.invocations.len(),
-            installed_workflows: self.workflows.len(),
-            local_groups: self
-                .workflows
-                .values()
-                .map(|ctx| {
-                    ctx.assignment
-                        .groups
-                        .iter()
-                        .filter(|g| g.worker == self.node)
-                        .count()
-                })
-                .sum(),
-        }
-    }
-
-    /// Installs (or replaces) the sub-graph context of a workflow — called
-    /// at every partition iteration when the Graph Scheduler pushes new
-    /// versions. In-flight invocations keep their pinned context (red-black:
-    /// only invocations beginning after this call see the new assignment).
-    pub fn install(
-        &mut self,
-        workflow: WorkflowId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.workflows.insert(
-            workflow,
-            WorkflowCtx {
-                dag,
-                assignment,
-                seed,
-            },
-        );
-    }
-
-    /// Removes a workflow's context entirely.
-    pub fn uninstall(&mut self, workflow: WorkflowId) {
-        self.workflows.remove(&workflow);
-    }
-
-    /// Pins an invocation to an explicit deployment snapshot before the
-    /// first `begin`/`sync` event reaches this engine. The runtime calls
-    /// this with the invocation's cluster-side pinned version, so every
-    /// engine routes it identically even when a rebalance installed a
-    /// newer assignment in between. A no-op if the invocation already has
-    /// a pinned context here.
-    pub fn ensure_invocation(
-        &mut self,
-        workflow: WorkflowId,
-        invocation: InvocationId,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        seed: u64,
-    ) {
-        self.invocations
-            .entry((workflow, invocation))
-            .or_insert_with(|| {
-                LiveInvocation::new(
-                    invocation,
-                    WorkflowCtx {
-                        dag,
-                        assignment,
-                        seed,
-                    },
-                )
-            });
-    }
-
     /// Starts an invocation on this worker: triggers every *local* entry
-    /// node of the workflow DAG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// node of the workflow DAG. `pinned` is the deployment the invocation
+    /// was pinned to at arrival; it is read only if this is the first event
+    /// of the invocation here (a sync may have arrived first).
     pub fn begin_invocation(
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        pinned: &Deployed,
     ) -> Vec<WorkerAction> {
-        let installed = self
-            .workflows
-            .get(&workflow)
-            .expect("begin_invocation on uninstalled workflow")
-            .clone();
         let live = self
             .invocations
             .entry((workflow, invocation))
-            .or_insert_with(|| LiveInvocation::new(invocation, installed));
+            .or_insert_with(|| LiveInvocation::new(invocation, pinned));
         let ctx = live.ctx.clone();
         let mut actions = Vec::new();
         for entry in ctx.dag.entry_nodes() {
@@ -283,24 +181,18 @@ impl WorkerEngine {
     /// record was lost, and counting a predecessor twice would trigger
     /// successors prematurely.
     ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// `pinned` is read as in [`WorkerEngine::begin_invocation`].
     pub fn on_state_sync(
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        pinned: &Deployed,
         completed: FunctionId,
     ) -> Vec<WorkerAction> {
-        let installed = self
-            .workflows
-            .get(&workflow)
-            .expect("state sync for uninstalled workflow")
-            .clone();
         let live = self
             .invocations
             .entry((workflow, invocation))
-            .or_insert_with(|| LiveInvocation::new(invocation, installed));
+            .or_insert_with(|| LiveInvocation::new(invocation, pinned));
         let ctx = live.ctx.clone();
         if !live.tracker.mark_propagated(completed) {
             return Vec::new();
@@ -362,25 +254,19 @@ impl WorkerEngine {
     /// Emitted `TriggerFunction` actions may duplicate pre-crash
     /// dispatches; the runtime's dispatch dedup drops those.
     ///
-    /// # Panics
-    ///
-    /// Panics if the workflow was never installed.
+    /// `current` is the workflow's current deployment: replay deliberately
+    /// re-pins to it, because the recovery layer redeployed before
+    /// replaying and the restarted invocation follows the fresh version.
     pub fn replay_invocation(
         &mut self,
         workflow: WorkflowId,
         invocation: InvocationId,
+        current: &Deployed,
         completed: &[FunctionId],
         already_propagated: &[FunctionId],
         inflight: &[(FunctionId, u32)],
     ) -> Vec<WorkerAction> {
-        // Replay deliberately re-pins to the *installed* context: the
-        // recovery layer redeployed before replaying, and the restarted
-        // invocation follows the fresh version.
-        let ctx = self
-            .workflows
-            .get(&workflow)
-            .expect("replay on uninstalled workflow")
-            .clone();
+        let ctx = current.clone();
         let mut tracker = TriggerTracker::new(ctx.dag.clone(), invocation, ctx.seed);
         // Mark every known completion up front so the cascade below can
         // neither re-trigger nor re-complete them.
@@ -522,18 +408,16 @@ impl WorkerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use faasflow_scheduler::Assignment;
     use faasflow_scheduler::{ContentionSet, GraphScheduler, RuntimeMetrics, WorkerInfo};
     use faasflow_sim::SimRng;
     use faasflow_wdl::{DagParser, FunctionProfile, Step, Workflow};
 
     /// Builds a 3-function chain partitioned across two workers:
     /// a, b on worker 1 and c on worker 2 (forced by zero quota + capacity).
-    fn setup() -> (
-        Arc<WorkflowDag>,
-        Arc<Assignment>,
-        WorkerEngine,
-        WorkerEngine,
-    ) {
+    fn setup() -> (Deployed, WorkerEngine, WorkerEngine) {
         let wf = Workflow::steps(
             "chain",
             Step::sequence(vec![
@@ -569,12 +453,12 @@ mod tests {
             mem_consume: 10 << 20,
             quota: 10 << 20,
         });
-        let mut e1 = WorkerEngine::new(w_ab);
-        let mut e2 = WorkerEngine::new(w_c);
-        let wid = WorkflowId::new(0);
-        e1.install(wid, dag.clone(), assignment.clone(), 7);
-        e2.install(wid, dag.clone(), assignment.clone(), 7);
-        (dag, assignment, e1, e2)
+        let deployed = Deployed {
+            dag,
+            assignment,
+            seed: 7,
+        };
+        (deployed, WorkerEngine::new(w_ab), WorkerEngine::new(w_c))
     }
 
     const WF: WorkflowId = WorkflowId::new(0);
@@ -582,8 +466,8 @@ mod tests {
 
     #[test]
     fn begin_triggers_only_local_entries() {
-        let (_dag, _asg, mut e1, mut e2) = setup();
-        let a1 = e1.begin_invocation(WF, INV);
+        let (d, mut e1, mut e2) = setup();
+        let a1 = e1.begin_invocation(WF, INV, &d);
         assert_eq!(
             a1,
             vec![WorkerAction::TriggerFunction {
@@ -592,14 +476,14 @@ mod tests {
                 function: FunctionId::new(0)
             }]
         );
-        let a2 = e2.begin_invocation(WF, INV);
+        let a2 = e2.begin_invocation(WF, INV, &d);
         assert!(a2.is_empty(), "entry node is not on worker 2");
     }
 
     #[test]
     fn local_successor_triggers_without_network() {
-        let (_dag, _asg, mut e1, _e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (d, mut e1, _e2) = setup();
+        e1.begin_invocation(WF, INV, &d);
         let actions = e1.on_instance_complete(WF, INV, FunctionId::new(0));
         assert_eq!(
             actions,
@@ -615,11 +499,11 @@ mod tests {
 
     #[test]
     fn cross_worker_successor_produces_one_sync() {
-        let (_dag, asg, mut e1, mut e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (d, mut e1, mut e2) = setup();
+        e1.begin_invocation(WF, INV, &d);
         e1.on_instance_complete(WF, INV, FunctionId::new(0));
         let actions = e1.on_instance_complete(WF, INV, FunctionId::new(1));
-        let w_c = asg.worker_of(FunctionId::new(2));
+        let w_c = d.assignment.worker_of(FunctionId::new(2));
         assert_eq!(
             actions,
             vec![WorkerAction::SyncState {
@@ -631,7 +515,7 @@ mod tests {
         );
         assert_eq!(e1.stats().syncs_sent.get(), 1);
         // Worker 2 receives the sync and triggers c.
-        let actions = e2.on_state_sync(WF, INV, FunctionId::new(1));
+        let actions = e2.on_state_sync(WF, INV, &d, FunctionId::new(1));
         assert_eq!(
             actions,
             vec![WorkerAction::TriggerFunction {
@@ -644,11 +528,11 @@ mod tests {
 
     #[test]
     fn exit_completion_is_reported() {
-        let (_dag, _asg, mut e1, mut e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (d, mut e1, mut e2) = setup();
+        e1.begin_invocation(WF, INV, &d);
         e1.on_instance_complete(WF, INV, FunctionId::new(0));
         e1.on_instance_complete(WF, INV, FunctionId::new(1));
-        e2.on_state_sync(WF, INV, FunctionId::new(1));
+        e2.on_state_sync(WF, INV, &d, FunctionId::new(1));
         let actions = e2.on_instance_complete(WF, INV, FunctionId::new(2));
         assert_eq!(
             actions,
@@ -662,8 +546,8 @@ mod tests {
 
     #[test]
     fn release_frees_state() {
-        let (_dag, _asg, mut e1, _e2) = setup();
-        e1.begin_invocation(WF, INV);
+        let (d, mut e1, _e2) = setup();
+        e1.begin_invocation(WF, INV, &d);
         assert_eq!(e1.live_invocations(), 1);
         e1.release_invocation(WF, INV);
         assert_eq!(e1.live_invocations(), 0);
@@ -691,9 +575,13 @@ mod tests {
                 )
                 .unwrap(),
         );
+        let d = Deployed {
+            dag: dag.clone(),
+            assignment: asg,
+            seed: 7,
+        };
         let mut eng = WorkerEngine::new(NodeId::new(1));
-        eng.install(WF, dag.clone(), asg, 7);
-        let first = eng.begin_invocation(WF, INV);
+        let first = eng.begin_invocation(WF, INV, &d);
         // Entry is the virtual start; runtime completes it instantly:
         let vs = match &first[0] {
             WorkerAction::TriggerFunction { function, .. } => *function,

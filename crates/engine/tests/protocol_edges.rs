@@ -1,10 +1,11 @@
 //! Edge cases of the engine protocols that the unit tests don't reach:
-//! out-of-order state syncs, re-installation (partition iterations),
-//! any-join deduplication, and multi-invocation isolation.
+//! out-of-order state syncs, a newer deployment becoming current
+//! mid-flight (partition iterations), any-join deduplication, and
+//! multi-invocation isolation.
 
 use std::sync::Arc;
 
-use faasflow_engine::{WorkerAction, WorkerEngine};
+use faasflow_engine::{Deployed, WorkerAction, WorkerEngine};
 use faasflow_scheduler::{Assignment, Group};
 use faasflow_sim::{FunctionId, GroupId, InvocationId, NodeId, WorkflowId};
 use faasflow_wdl::{DagParser, FunctionProfile, Step, SwitchCase, Workflow, WorkflowDag};
@@ -16,7 +17,7 @@ fn p() -> FunctionProfile {
 }
 
 /// A fan-in: {a, b} -> c, with a+c on worker 1 and b on worker 2.
-fn fan_in() -> (Arc<WorkflowDag>, Arc<Assignment>) {
+fn fan_in() -> Deployed {
     let wf = Workflow::steps(
         "fan",
         Step::sequence(vec![
@@ -66,15 +67,35 @@ fn fan_in() -> (Arc<WorkflowDag>, Arc<Assignment>) {
         quota: 0,
     });
     let _ = (a, c);
-    (dag, assignment)
+    Deployed {
+        dag,
+        assignment,
+        seed: 3,
+    }
 }
 
-fn engines(dag: &Arc<WorkflowDag>, asg: &Arc<Assignment>) -> (WorkerEngine, WorkerEngine) {
-    let mut e1 = WorkerEngine::new(NodeId::new(1));
-    let mut e2 = WorkerEngine::new(NodeId::new(2));
-    e1.install(WF, dag.clone(), asg.clone(), 3);
-    e2.install(WF, dag.clone(), asg.clone(), 3);
-    (e1, e2)
+/// Every node of `dag` in one group on `worker`.
+fn on_one_worker(dag: &Arc<WorkflowDag>, worker: NodeId) -> Arc<Assignment> {
+    Arc::new(Assignment {
+        groups: vec![Group {
+            id: GroupId::new(0),
+            members: (0..dag.node_count()).map(FunctionId::from).collect(),
+            worker,
+            capacity_needed: 3,
+        }],
+        node_of: vec![worker; dag.node_count()],
+        group_of: vec![GroupId::new(0); dag.node_count()],
+        storage_local: vec![false; dag.node_count()],
+        mem_consume: 0,
+        quota: 0,
+    })
+}
+
+fn engines() -> (WorkerEngine, WorkerEngine) {
+    (
+        WorkerEngine::new(NodeId::new(1)),
+        WorkerEngine::new(NodeId::new(2)),
+    )
 }
 
 /// Walks an action list, completing any local virtual/function trigger
@@ -103,11 +124,11 @@ fn sync_arriving_before_begin_still_works() {
     // Worker 2 learns about a remote completion before it ever saw the
     // invocation begin — §3.1's decentralized engines must cope, because
     // message timing across workers is unordered.
-    let (dag, asg) = fan_in();
-    let (mut e1, mut e2) = engines(&dag, &asg);
+    let d = fan_in();
+    let (mut e1, mut e2) = engines();
     let inv = InvocationId::new(9);
     // Worker 1 runs the virtual start and `a`; worker 2 has NOT begun.
-    let begin = e1.begin_invocation(WF, inv);
+    let begin = e1.begin_invocation(WF, inv, &d);
     let (_, external) = drain_local(&mut e1, inv, begin);
     // The virtual start's completion must have produced a sync to w2.
     let sync = external
@@ -118,25 +139,48 @@ fn sync_arriving_before_begin_still_works() {
         })
         .expect("cross-worker successor b needs a sync");
     // Deliver it to worker 2 *before* any begin call.
-    let actions = e2.on_state_sync(WF, inv, sync);
+    let actions = e2.on_state_sync(WF, inv, &d, sync);
     let (triggered, _) = drain_local(&mut e2, inv, actions);
-    let b = dag.nodes().iter().find(|x| x.name == "b").unwrap().id;
+    let b = d.dag.nodes().iter().find(|x| x.name == "b").unwrap().id;
     assert_eq!(triggered, vec![b], "b triggers from the sync alone");
 }
 
 #[test]
-fn reinstall_keeps_state_machines_consistent() {
-    // A partition iteration re-installs the workflow mid-flight; engines
-    // must keep serving existing invocations (red-black: old invocations
-    // hold their own Arc snapshots through the tracker).
-    let (dag, asg) = fan_in();
-    let (mut e1, _e2) = engines(&dag, &asg);
+fn newer_deployment_leaves_a_live_invocation_on_its_pinned_one() {
+    // A partition iteration makes a newer version current mid-flight and
+    // later calls carry it; an invocation this engine already holds keeps
+    // routing by the version it was pinned to (red-black deployment).
+    let pinned = fan_in();
+    let newer = Deployed {
+        assignment: on_one_worker(&pinned.dag, NodeId::new(1)),
+        ..pinned.clone()
+    };
+    let by_name = |n: &str| pinned.dag.nodes().iter().find(|x| x.name == n).unwrap().id;
+    let (b, c) = (by_name("b"), by_name("c"));
+    let (mut e1, _e2) = engines();
     let inv = InvocationId::new(0);
-    let begin = e1.begin_invocation(WF, inv);
-    // Re-install with the same structures (a fresh version).
-    e1.install(WF, dag.clone(), asg.clone(), 3);
-    let (triggered, _) = drain_local(&mut e1, inv, begin);
-    assert!(!triggered.is_empty(), "existing invocation keeps running");
+    let begin = e1.begin_invocation(WF, inv, &pinned);
+    // A repeated begin under the newer version neither re-triggers nor
+    // re-pins.
+    assert!(e1.begin_invocation(WF, inv, &newer).is_empty());
+    let (triggered, external) = drain_local(&mut e1, inv, begin);
+    // Under the newer version b would run here; pinned, it stays remote.
+    assert!(!triggered.contains(&b), "b moved to the newer placement");
+    assert!(
+        external.iter().any(|a| matches!(
+            a,
+            WorkerAction::SyncState { to, .. } if *to == NodeId::new(2)
+        )),
+        "b's worker must get the sync of the pinned placement"
+    );
+    // b's completion arrives from worker 2 with the newer version current:
+    // the join and c still run here, and the exit is reported.
+    let actions = e1.on_state_sync(WF, inv, &newer, b);
+    let (triggered, external) = drain_local(&mut e1, inv, actions);
+    assert!(triggered.contains(&c), "existing invocation keeps running");
+    assert!(external
+        .iter()
+        .any(|a| matches!(a, WorkerAction::ExitComplete { function, .. } if *function == c)));
 }
 
 #[test]
@@ -155,24 +199,15 @@ fn any_join_triggers_once_for_multiple_arms() {
     );
     let dag = Arc::new(DagParser::default().parse(&wf).unwrap());
     let w1 = NodeId::new(1);
-    let assignment = Arc::new(Assignment {
-        groups: vec![Group {
-            id: GroupId::new(0),
-            members: (0..dag.node_count()).map(FunctionId::from).collect(),
-            worker: w1,
-            capacity_needed: 3,
-        }],
-        node_of: vec![w1; dag.node_count()],
-        group_of: vec![GroupId::new(0); dag.node_count()],
-        storage_local: vec![false; dag.node_count()],
-        mem_consume: 0,
-        quota: 0,
-    });
+    let d = Deployed {
+        dag: dag.clone(),
+        assignment: on_one_worker(&dag, w1),
+        seed: 3,
+    };
     let mut engine = WorkerEngine::new(w1);
-    engine.install(WF, dag.clone(), assignment, 3);
     for inv_idx in 0..16 {
         let inv = InvocationId::new(inv_idx);
-        let begin = engine.begin_invocation(WF, inv);
+        let begin = engine.begin_invocation(WF, inv, &d);
         let (triggered, external) = drain_local(&mut engine, inv, begin);
         // Exactly one arm + brackets + after; never both arms.
         let x = dag.nodes().iter().find(|n| n.name == "x").unwrap().id;
@@ -199,13 +234,13 @@ fn any_join_triggers_once_for_multiple_arms() {
 
 #[test]
 fn concurrent_invocations_do_not_interfere() {
-    let (dag, asg) = fan_in();
-    let (mut e1, _) = engines(&dag, &asg);
+    let d = fan_in();
+    let (mut e1, _) = engines();
     // Interleave two invocations through worker 1 only.
     let i0 = InvocationId::new(0);
     let i1 = InvocationId::new(1);
-    let b0 = e1.begin_invocation(WF, i0);
-    let b1 = e1.begin_invocation(WF, i1);
+    let b0 = e1.begin_invocation(WF, i0, &d);
+    let b1 = e1.begin_invocation(WF, i1, &d);
     let (t0, _) = drain_local(&mut e1, i0, b0);
     let (t1, _) = drain_local(&mut e1, i1, b1);
     assert_eq!(t0, t1, "identical workflows take identical local paths");

@@ -211,8 +211,9 @@ pub struct Group {
 }
 
 /// The partitioner's output: groups, per-node placement, and per-function
-/// storage classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// storage classes. The default is the empty placement (no groups), which
+/// stands for "nothing deployed yet".
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Assignment {
     /// The function groups, in stable id order.
     pub groups: Vec<Group>,

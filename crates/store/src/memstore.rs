@@ -53,9 +53,14 @@ impl MemStore {
     /// Eq. (2)'s `Quota[G]`, established at each partition iteration).
     ///
     /// Lowering the budget below current usage is allowed: resident objects
-    /// stay, but new puts are rejected until usage drains.
+    /// stay, but new puts are rejected until usage drains. A zero budget
+    /// drops the entry, so the table holds only workflows placed here.
     pub fn set_budget(&mut self, wf: WorkflowId, bytes: u64) {
-        self.budgets.insert(wf, bytes);
+        if bytes == 0 {
+            self.budgets.remove(&wf);
+        } else {
+            self.budgets.insert(wf, bytes);
+        }
     }
 
     /// The workflow's budget (zero when unset).
@@ -212,6 +217,16 @@ mod tests {
     fn unbudgeted_workflow_rejects_everything() {
         let mut s = MemStore::new();
         assert!(!s.try_put(key(9, 0, 0), 1));
+    }
+
+    #[test]
+    fn zero_budget_drops_the_entry() {
+        let mut s = MemStore::new();
+        s.set_budget(WorkflowId::new(0), 100);
+        s.set_budget(WorkflowId::new(0), 0);
+        assert!(s.budgets.is_empty());
+        assert_eq!(s.budget(WorkflowId::new(0)), 0);
+        assert!(!s.try_put(key(0, 0, 0), 1));
     }
 
     #[test]
