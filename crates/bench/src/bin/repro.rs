@@ -2437,9 +2437,10 @@ fn perf(quick: bool) {
     });
 
     // Placement kernel: Algorithm 1 partition of Genome-50 onto 7 (the
-    // paper's testbed) and 128 (a fleet) loaded workers — the legacy index
-    // tie-break vs the load-aware scoring (residual capacity, p99/memory
-    // tie-breaks, locality affinity). The delta is the placement layer's
+    // paper's testbed), 128 and 512 (fleets) loaded workers — the legacy
+    // index tie-break vs the load-aware scoring (residual capacity,
+    // p99/memory tie-breaks, locality affinity). Both modes share the
+    // incremental critical path, so the delta is the placement layer's
     // per-partition cost on the hot path.
     {
         let parser = DagParser::default();
@@ -2449,6 +2450,7 @@ fn perf(quick: bool) {
         for (n, name) in [
             (7u32, "scheduler/partition_gen50/load_aware"),
             (128, "scheduler/partition_gen50/load_aware_w128"),
+            (512, "scheduler/partition_gen50/load_aware_w512"),
         ] {
             let workers: Vec<WorkerInfo> = (0..n)
                 .map(|i| {

@@ -25,8 +25,8 @@ use faasflow_container::{Admission, ContainerManager, StartKind};
 use faasflow_engine::{Deployed, MasterAction, MasterEngine, WorkerAction, WorkerEngine};
 use faasflow_net::{Flow, FlowId, FlowNet, LinkFaultTable, LinkQuality, NicSpec};
 use faasflow_scheduler::{
-    Assignment, ContentionSet, DeploymentManager, FeedbackCollector, GraphScheduler,
-    PartitionConfig, RuntimeMetrics, ScheduleError, WorkerInfo, WorkerLoad,
+    Assignment, ContentionSet, FeedbackCollector, GraphScheduler, PartitionConfig, RuntimeMetrics,
+    ScheduleError, WorkerInfo, WorkerLoad,
 };
 use faasflow_sim::{
     ContainerId, EventId, EventQueue, FunctionId, InvocationId, NodeId, SimDuration, SimRng,
@@ -367,7 +367,6 @@ struct WorkflowState {
     /// The current version: the DAG snapshot and placement of the last
     /// successful deploy, and the workflow's switch-arm seed.
     deployed: Deployed,
-    deployment: DeploymentManager,
     client: ClientConfig,
     contention: ContentionSet,
     feedback: FeedbackCollector,
@@ -779,7 +778,6 @@ impl Cluster {
                 seed: self.rng.next_u64(),
             },
             dag,
-            deployment: DeploymentManager::new(),
             client,
             contention,
             prev_metrics,
@@ -1338,7 +1336,6 @@ impl Cluster {
         let assignment = Arc::new(result?);
         let old = std::mem::replace(&mut state.deployed.assignment, assignment.clone());
         state.deployed.dag = state.dag.clone();
-        let (_version, _retired) = state.deployment.deploy();
 
         // Each worker's memstore budget is the quota of the members placed
         // on it. Only the workers hosting a group of the old or the new
@@ -1457,8 +1454,8 @@ impl Cluster {
                     && self.worker_alive[worker]
                     && self.epoch_alive(wf, inv, epoch)
                 {
-                    let pinned = self.pinned_deployment(wf, inv);
-                    let actions = self.worker_engines[worker].begin_invocation(wf, inv, &pinned);
+                    let pinned = &self.invocations[&(wf, inv)].deployed;
+                    let actions = self.worker_engines[worker].begin_invocation(wf, inv, pinned);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1473,9 +1470,9 @@ impl Cluster {
                     && self.worker_alive[worker]
                     && self.epoch_alive(wf, inv, epoch)
                 {
-                    let pinned = self.pinned_deployment(wf, inv);
+                    let pinned = &self.invocations[&(wf, inv)].deployed;
                     let actions =
-                        self.worker_engines[worker].on_state_sync(wf, inv, &pinned, completed);
+                        self.worker_engines[worker].on_state_sync(wf, inv, pinned, completed);
                     self.apply_worker_actions(now, worker, actions);
                 }
             }
@@ -1841,13 +1838,7 @@ impl Cluster {
             invocation: inv,
             at: now,
         });
-        let version = state.deployment.invocation_started();
-        let mut inv_state = InvState::new(
-            version,
-            state.deployed.dag.clone(),
-            state.deployed.assignment.clone(),
-            now,
-        );
+        let mut inv_state = InvState::new(state.deployed.clone(), now);
         let timeout_at = now + self.config.timeout;
         inv_state.timeout_event = Some(self.queue.schedule(timeout_at, Event::Timeout { wf, inv }));
         self.metrics.get_mut(&wf).expect("metrics exist").sent += 1;
@@ -1911,29 +1902,16 @@ impl Cluster {
     fn degrade_shed_worker(&self, wf: WorkflowId, inv: InvocationId) -> usize {
         let state = &self.invocations[&(wf, inv)];
         state
+            .deployed
             .dag
             .entry_nodes()
             .iter()
-            .filter_map(|&e| self.config.worker_index(state.assignment.worker_of(e)))
+            .filter_map(|&e| {
+                self.config
+                    .worker_index(state.deployed.assignment.worker_of(e))
+            })
             .min()
             .unwrap_or(0)
-    }
-
-    /// WorkerSP: the deployment a live invocation was pinned to at
-    /// arrival, handed to an engine with each `begin`/`sync` delivery. An
-    /// engine seeing the invocation for the first time adopts it, so an
-    /// incremental rebalance landing between the arrival and a delayed
-    /// sync cannot make the receiving engine route the invocation by the
-    /// *new* assignment — which would strand successors and break the
-    /// data-placement contract (a `LocalMem` put whose consumer moved
-    /// elsewhere).
-    fn pinned_deployment(&self, wf: WorkflowId, inv: InvocationId) -> Deployed {
-        let state = &self.invocations[&(wf, inv)];
-        Deployed {
-            dag: state.dag.clone(),
-            assignment: state.assignment.clone(),
-            seed: self.workflows[&wf].deployed.seed,
-        }
     }
 
     /// WorkerSP: notify each worker hosting an entry node of the
@@ -1943,10 +1921,14 @@ impl Cluster {
         let state = &self.invocations[&(wf, inv)];
         let epoch = state.epoch;
         let mut entry_workers: Vec<usize> = state
+            .deployed
             .dag
             .entry_nodes()
             .iter()
-            .filter_map(|&e| self.config.worker_index(state.assignment.worker_of(e)))
+            .filter_map(|&e| {
+                self.config
+                    .worker_index(state.deployed.assignment.worker_of(e))
+            })
             .collect();
         entry_workers.sort_unstable();
         entry_workers.dedup();
@@ -2104,7 +2086,11 @@ impl Cluster {
             // invocation is exactly the pain the signal should carry).
             let e2e_ms = (now - state.started).as_millis_f64();
             for w in 0..self.config.workers as usize {
-                if state.assignment.involves(self.config.worker_node(w as u32)) {
+                if state
+                    .deployed
+                    .assignment
+                    .involves(self.config.worker_node(w as u32))
+                {
                     self.worker_p99[w].observe(e2e_ms);
                 }
             }
@@ -2121,11 +2107,11 @@ impl Cluster {
         metrics.last_completion = Some(now);
 
         // Feedback: observed container scale and executor maps.
-        for node in state.dag.nodes() {
+        for node in state.deployed.dag.nodes() {
             if !node.kind.is_function() {
                 continue;
             }
-            let worker = state.assignment.worker_of(node.id);
+            let worker = state.deployed.assignment.worker_of(node.id);
             if let Some(wi) = self.config.worker_index(worker) {
                 let pool = self.containers[wi].pool_size((wf, node.id)).max(1);
                 ws.feedback.observe_scale(node.id, pool);
@@ -2147,7 +2133,6 @@ impl Cluster {
             fs.release_invocation(wf, inv);
         }
         self.remote.release_invocation(inv);
-        let _retired = ws.deployment.invocation_finished(state.version);
 
         // Closed-loop client sends the next invocation on completion.
         if matches!(ws.client, ClientConfig::ClosedLoop { .. })
@@ -2458,7 +2443,10 @@ impl Cluster {
                         let Some(state) = self.invocations.get(&(workflow, invocation)) else {
                             continue;
                         };
-                        (!state.dag.node(function).kind.is_function(), state.epoch)
+                        (
+                            !state.deployed.dag.node(function).kind.is_function(),
+                            state.epoch,
+                        )
                     };
                     if is_virtual {
                         self.queue.schedule(
@@ -2706,7 +2694,7 @@ impl Cluster {
             return;
         }
         let epoch = state.epoch;
-        let parallelism = state.dag.node(function).parallelism.max(1);
+        let parallelism = state.deployed.dag.node(function).parallelism.max(1);
         state.instances_remaining.insert(function, parallelism);
         let worker_node = self.config.worker_node(worker as u32);
         self.tracer.record(|| TraceEvent::FunctionTriggered {
@@ -2870,7 +2858,7 @@ impl Cluster {
         // hot-unplug memory, so they keep the provisioned size.
         if cold && self.config.faastore && self.config.reclamation == ReclamationMode::CgroupLimit {
             if let Some(state) = self.invocations.get(&(token.workflow, token.invocation)) {
-                if let NodeKind::Function(profile) = &state.dag.node(token.function).kind {
+                if let NodeKind::Function(profile) = &state.deployed.dag.node(token.function).kind {
                     let target = profile.peak_mem_bytes + self.config.mu;
                     if target < profile.provisioned_mem_bytes {
                         let _ = self.containers[worker].set_memory_limit(container, target);
@@ -2915,9 +2903,10 @@ impl Cluster {
             .expect("inserted above");
 
         // Gather inputs: one transfer per producer that actually ran.
-        let parallelism = state.dag.node(token.function).parallelism.max(1);
+        let parallelism = state.deployed.dag.node(token.function).parallelism.max(1);
         inputs.extend(
             state
+                .deployed
                 .dag
                 .data_inputs(token.function)
                 .filter(|d| state.completed_nodes.contains(&d.producer))
@@ -2988,7 +2977,7 @@ impl Cluster {
         inst.exec_started = now;
         let seq = inst.seq;
         let attempt = inst.retries;
-        let exec = match &state.dag.node(token.function).kind {
+        let exec = match &state.deployed.dag.node(token.function).kind {
             NodeKind::Function(profile) => profile.sample_exec(&mut self.rng),
             _ => SimDuration::ZERO,
         };
@@ -3186,7 +3175,7 @@ impl Cluster {
         else {
             return;
         };
-        let node = state.dag.node(token.function);
+        let node = state.deployed.dag.node(token.function);
         let total_out = node.kind.profile().map(|p| p.output_bytes).unwrap_or(0);
         let parallelism = node.parallelism.max(1);
         let share = InvState::share(total_out, parallelism, token.instance);
@@ -3198,16 +3187,18 @@ impl Cluster {
         let placement = match state.placements.get(&token.function) {
             Some(&p) => p,
             None => {
-                let storage_type = if state.assignment.storage_local[token.function.index()] {
-                    StorageType::Mem
-                } else {
-                    StorageType::Db
-                };
-                let producer_node = state.assignment.worker_of(token.function);
+                let storage_type =
+                    if state.deployed.assignment.storage_local[token.function.index()] {
+                        StorageType::Mem
+                    } else {
+                        StorageType::Db
+                    };
+                let producer_node = state.deployed.assignment.worker_of(token.function);
                 let consumers: Vec<NodeId> = state
+                    .deployed
                     .dag
                     .data_outputs(token.function)
-                    .map(|d| state.assignment.worker_of(d.consumer))
+                    .map(|d| state.deployed.assignment.worker_of(d.consumer))
                     .collect();
                 let key = DataKey::new(token.workflow, token.invocation, token.function);
                 let p = self.faastores[worker].decide_put(
@@ -3344,7 +3335,7 @@ impl Cluster {
                 self.discard_hedge(now, token);
                 return;
             };
-            match &state.dag.node(token.function).kind {
+            match &state.deployed.dag.node(token.function).kind {
                 NodeKind::Function(profile) => profile.sample_exec(&mut self.rng),
                 _ => SimDuration::ZERO,
             }
@@ -3543,8 +3534,9 @@ impl Cluster {
                     else {
                         return;
                     };
-                    let parallelism = state.dag.node(token.function).parallelism.max(1);
+                    let parallelism = state.deployed.dag.node(token.function).parallelism.max(1);
                     let total = state
+                        .deployed
                         .dag
                         .data_inputs(token.function)
                         .find(|d| d.producer == producer)
@@ -3599,8 +3591,9 @@ impl Cluster {
                     else {
                         return;
                     };
-                    let parallelism = state.dag.node(token.function).parallelism.max(1);
+                    let parallelism = state.deployed.dag.node(token.function).parallelism.max(1);
                     let total = state
+                        .deployed
                         .dag
                         .node(token.function)
                         .kind
@@ -4031,8 +4024,9 @@ impl Cluster {
             if !lost_state {
                 continue;
             }
-            let touches = state.dag.nodes().iter().any(|n| {
-                !state.completed_nodes.contains(&n.id) && state.assignment.worker_of(n.id) == node
+            let touches = state.deployed.dag.nodes().iter().any(|n| {
+                !state.completed_nodes.contains(&n.id)
+                    && state.deployed.assignment.worker_of(n.id) == node
             });
             if touches {
                 impacted.push(key);
@@ -4314,7 +4308,7 @@ impl Cluster {
             let journal = &self.engine_slot(target).journal;
             let mentioned = readable && journal.mentions(wf, inv);
             if !progress && !mentioned {
-                if state.dag.entry_nodes().iter().any(|&e| hosts(e)) {
+                if state.deployed.dag.entry_nodes().iter().any(|&e| hosts(e)) {
                     self.dead_letter_invocation(now, wf, inv, lost_reason);
                 }
                 continue;
@@ -4324,7 +4318,7 @@ impl Cluster {
             let mut inflight: Vec<(FunctionId, u32)> = Vec::new();
             for (&f, &remaining) in &state.instances_remaining {
                 if remaining > 0 && !state.completed_nodes.contains(&f) && hosts(f) {
-                    let parallelism = state.dag.node(f).parallelism.max(1);
+                    let parallelism = state.deployed.dag.node(f).parallelism.max(1);
                     inflight.push((f, parallelism - remaining));
                 }
             }
@@ -4409,7 +4403,7 @@ impl Cluster {
         state.placements.clear();
         state.dispatched.clear();
         state.reported_exits.clear();
-        state.exits_remaining = state.dag.exit_nodes().len();
+        state.exits_remaining = state.deployed.dag.exit_nodes().len();
         self.release_stale(now, stale);
         self.inflight_spawns
             .retain(|t, _| !(t.workflow == wf && t.invocation == inv));
@@ -4423,15 +4417,12 @@ impl Cluster {
         // Re-pin to the current (post-recovery) deployment.
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
         let state = self.invocations.get_mut(&(wf, inv)).expect("checked above");
-        let _ = ws.deployment.invocation_finished(state.version);
-        state.version = ws.deployment.invocation_started();
-        state.dag = ws.deployed.dag.clone();
-        state.assignment = ws.deployed.assignment.clone();
+        state.deployed = ws.deployed.clone();
         // If the redeploy failed and the pinned partition still routes work
         // to a dead worker, the invocation cannot make progress.
-        let routes_dead = state.dag.nodes().iter().any(|n| {
+        let routes_dead = state.deployed.dag.nodes().iter().any(|n| {
             self.config
-                .worker_index(state.assignment.worker_of(n.id))
+                .worker_index(state.deployed.assignment.worker_of(n.id))
                 .map(|wi| !self.worker_alive[wi])
                 .unwrap_or(false)
         });
@@ -4577,7 +4568,6 @@ impl Cluster {
         }
         let _ = self.remote.release_invocation(inv);
         let ws = self.workflows.get_mut(&wf).expect("workflow exists");
-        let _ = ws.deployment.invocation_finished(state.version);
         // The closed-loop client still owes its remaining invocations.
         if matches!(ws.client, ClientConfig::ClosedLoop { .. })
             && ws.sent < ws.client.total_invocations()
@@ -4848,9 +4838,9 @@ impl Cluster {
                         continue;
                     }
                     let touches = state.instances.values().any(|i| i.worker == w)
-                        || state.dag.nodes().iter().any(|n| {
+                        || state.deployed.dag.nodes().iter().any(|n| {
                             !state.completed_nodes.contains(&n.id)
-                                && state.assignment.worker_of(n.id) == node
+                                && state.deployed.assignment.worker_of(n.id) == node
                         });
                     if touches {
                         impacted.push(key);

@@ -1,12 +1,10 @@
 //! Per-invocation runtime bookkeeping on the cluster side.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use faasflow_scheduler::{Assignment, Version};
+use faasflow_engine::Deployed;
 use faasflow_sim::{ContainerId, EventId, FunctionId, InvocationId, SimTime, WorkflowId};
 use faasflow_store::Placement;
-use faasflow_wdl::WorkflowDag;
 
 use crate::metrics::TransferLedger;
 
@@ -60,12 +58,15 @@ pub(crate) struct InstanceState {
 /// Cluster-side state of one in-flight invocation.
 #[derive(Debug)]
 pub(crate) struct InvState {
-    /// Partition version the invocation is pinned to (red-black).
-    pub version: Version,
-    /// Pinned DAG snapshot.
-    pub dag: Arc<WorkflowDag>,
-    /// Pinned placement.
-    pub assignment: Arc<Assignment>,
+    /// The deployment the invocation is pinned to at arrival (red-black):
+    /// its DAG snapshot, placement and switch-arm seed. WorkerSP hands it
+    /// to an engine with each `begin`/`sync` delivery, and an engine seeing
+    /// the invocation for the first time adopts it, so an incremental
+    /// rebalance landing between the arrival and a delayed sync cannot make
+    /// the receiving engine route the invocation by the *new* assignment —
+    /// which would strand successors and break the data-placement contract
+    /// (a `LocalMem` put whose consumer moved elsewhere).
+    pub deployed: Deployed,
     /// Arrival instant (latency measurement start).
     pub started: SimTime,
     /// Exit nodes still to complete.
@@ -108,17 +109,10 @@ pub(crate) struct InvState {
 }
 
 impl InvState {
-    pub(crate) fn new(
-        version: Version,
-        dag: Arc<WorkflowDag>,
-        assignment: Arc<Assignment>,
-        started: SimTime,
-    ) -> Self {
-        let exits_remaining = dag.exit_nodes().len();
+    pub(crate) fn new(deployed: Deployed, started: SimTime) -> Self {
+        let exits_remaining = deployed.dag.exit_nodes().len();
         InvState {
-            version,
-            dag,
-            assignment,
+            deployed,
             started,
             exits_remaining,
             timeout_event: None,

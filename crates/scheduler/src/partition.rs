@@ -310,20 +310,6 @@ pub struct GraphScheduler {
     config: PartitionConfig,
 }
 
-/// Which placement code one partition run takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placer {
-    /// Legacy mode: random initial placement and the lowest-index capacity
-    /// tie-break, by linear scans over the workers.
-    Legacy,
-    /// Load-aware mode, answered by the [`CandidateIndex`].
-    Indexed,
-    /// Load-aware mode by the original linear scans: the reference the
-    /// index is checked against.
-    #[cfg(test)]
-    Scan,
-}
-
 /// The residual capacity `Cap[node]` of one partition run, plus, in
 /// load-aware mode, the candidate index over it.
 struct Bins {
@@ -351,15 +337,21 @@ struct CandidateIndex {
 impl CandidateIndex {
     fn new(workers: &[WorkerInfo], cap: &[i64], rot: usize) -> Self {
         let n = workers.len();
-        let mut worker_of_rank: Vec<usize> = (0..n).collect();
-        worker_of_rank.sort_unstable_by_key(|&w| {
-            let l = workers[w].load;
-            (
-                Reverse(l.recent_p99_ms),
-                Reverse(l.mem_used_bytes),
-                Reverse((w + n - rot) % n),
-            )
-        });
+        // One packed key per worker, sorted once: descending (p99, memory,
+        // rotated index) is ascending in the complement. The rotated index
+        // is unique, so the keys are too, and it maps back to the worker.
+        let mut calm: Vec<u128> = (0..n)
+            .map(|w| {
+                let l = workers[w].load;
+                let rotated = ((w + n - rot) % n) as u128;
+                !(u128::from(l.recent_p99_ms) << 96 | u128::from(l.mem_used_bytes) << 32 | rotated)
+            })
+            .collect();
+        calm.sort_unstable();
+        let worker_of_rank: Vec<usize> = calm
+            .iter()
+            .map(|&k| (!k as u32 as usize + rot) % n)
+            .collect();
         let mut rank = vec![0; n];
         for (r, &w) in worker_of_rank.iter().enumerate() {
             rank[w] = r as u32;
@@ -482,6 +474,129 @@ impl Affinity {
     }
 }
 
+/// Longest paths under Algorithm 1's effective edge weights (line 4), kept
+/// across merges instead of recomputed per iteration.
+///
+/// Merging only ever localises edges, and a localised edge only gets
+/// cheaper, so after a merge just the heads of the edges it localised can
+/// change. Those are re-relaxed in topological order, and a node whose
+/// distance moved passes the change on to its successors. Every relaxation
+/// recomputes the node from all its predecessors with
+/// [`WorkflowDag::critical_path_with`]'s rule — the first predecessor with
+/// the strictly largest distance — so `dist` and `via` always equal a full
+/// recomputation's.
+struct LongestPaths {
+    local_w: SimDuration,
+    /// Effective weight of each control edge: `min(local_w, weight)` once
+    /// its endpoints share a group, its stored weight until then.
+    weight: Vec<SimDuration>,
+    /// `exec_mean` of each node.
+    exec: Vec<SimDuration>,
+    /// Topological position of each node.
+    pos: Vec<usize>,
+    /// Cost of the heaviest path ending at each node, inclusive.
+    dist: Vec<SimDuration>,
+    /// The edge that heaviest path enters each node by.
+    via: Vec<Option<EdgeId>>,
+    /// Nodes awaiting re-relaxation.
+    dirty: Vec<bool>,
+    /// The lowest topological position of a dirty node.
+    first_dirty: usize,
+}
+
+impl LongestPaths {
+    /// Singleton groups, every node dirty: the first
+    /// [`LongestPaths::critical_edges`] runs the full pass.
+    fn new(dag: &WorkflowDag, local_w: SimDuration) -> Self {
+        let n = dag.node_count();
+        let mut pos = vec![0; n];
+        for (p, v) in dag.topo_order().iter().enumerate() {
+            pos[v.index()] = p;
+        }
+        LongestPaths {
+            local_w,
+            weight: dag.edges().iter().map(|e| e.weight).collect(),
+            exec: dag.nodes().iter().map(|v| v.exec_mean()).collect(),
+            pos,
+            dist: vec![SimDuration::ZERO; n],
+            via: vec![None; n],
+            dirty: vec![true; n],
+            first_dirty: 0,
+        }
+    }
+
+    fn mark(&mut self, v: usize) {
+        self.dirty[v] = true;
+        self.first_dirty = self.first_dirty.min(self.pos[v]);
+    }
+
+    /// Before `small` (the members of one group) merges with group
+    /// `other`: makes the control edges between the two local and marks
+    /// the heads of those that get cheaper. Scanning the smaller side finds
+    /// them all.
+    fn localise(&mut self, dag: &WorkflowDag, group_of: &[usize], small: &[usize], other: usize) {
+        for &m in small {
+            let v = FunctionId::from(m);
+            for &(eid, t) in dag.successors(v) {
+                if group_of[t.index()] == other && self.weight[eid.index()] > self.local_w {
+                    self.weight[eid.index()] = self.local_w;
+                    self.mark(t.index());
+                }
+            }
+            for &(eid, u) in dag.predecessors(v) {
+                if group_of[u.index()] == other && self.weight[eid.index()] > self.local_w {
+                    self.weight[eid.index()] = self.local_w;
+                    self.mark(m);
+                }
+            }
+        }
+    }
+
+    /// Re-relaxes the dirty nodes, then writes the critical path's edges,
+    /// entry to exit, into `edges`: the path ends at the lowest-index node
+    /// of maximum distance.
+    fn critical_edges(&mut self, dag: &WorkflowDag, edges: &mut Vec<EdgeId>) {
+        let topo = dag.topo_order();
+        for &v in &topo[self.first_dirty.min(topo.len())..] {
+            let v = v.index();
+            if !std::mem::take(&mut self.dirty[v]) {
+                continue;
+            }
+            let mut best = SimDuration::ZERO;
+            let mut best_via = None;
+            for &(eid, u) in dag.predecessors(FunctionId::from(v)) {
+                let d = self.dist[u.index()] + self.weight[eid.index()];
+                if best_via.is_none() || d > best {
+                    best = d;
+                    best_via = Some(eid);
+                }
+            }
+            let d = best + self.exec[v];
+            self.via[v] = best_via;
+            if d != self.dist[v] {
+                self.dist[v] = d;
+                for &(_, s) in dag.successors(FunctionId::from(v)) {
+                    self.dirty[s.index()] = true;
+                }
+            }
+        }
+        self.first_dirty = topo.len();
+
+        let mut end = 0;
+        for (i, &d) in self.dist.iter().enumerate() {
+            if d > self.dist[end] {
+                end = i;
+            }
+        }
+        edges.clear();
+        while let Some(eid) = self.via[end] {
+            edges.push(eid);
+            end = dag.edge(eid).from.index();
+        }
+        edges.reverse();
+    }
+}
+
 impl GraphScheduler {
     /// A scheduler with explicit configuration.
     pub fn new(config: PartitionConfig) -> Self {
@@ -507,25 +622,6 @@ impl GraphScheduler {
         quota: u64,
         rng: &mut SimRng,
     ) -> Result<Assignment, ScheduleError> {
-        let placer = if self.config.placement_config.enabled {
-            Placer::Indexed
-        } else {
-            Placer::Legacy
-        };
-        self.run(dag, workers, metrics, contention, quota, rng, placer)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        dag: &WorkflowDag,
-        workers: &[WorkerInfo],
-        metrics: &RuntimeMetrics,
-        contention: &ContentionSet,
-        quota: u64,
-        rng: &mut SimRng,
-        placer: Placer,
-    ) -> Result<Assignment, ScheduleError> {
         if workers.is_empty() {
             return Err(ScheduleError::NoWorkers);
         }
@@ -535,16 +631,17 @@ impl GraphScheduler {
                 actual: metrics.scale.len(),
             });
         }
+        let load_aware = self.config.placement_config.enabled;
 
         // Load-aware mode rotates the deterministic tie-break order once
         // per partition (a single RNG draw), so equal-score ties land on
         // different workers across successive partitions instead of always
         // on index 0. Legacy mode draws nothing here, keeping the RNG
         // stream — and therefore every historical golden — bit-identical.
-        let rot = if placer == Placer::Legacy {
-            0
-        } else {
+        let rot = if load_aware {
             (rng.next_u64() % workers.len() as u64) as usize
+        } else {
+            0
         };
 
         let n = dag.node_count();
@@ -561,25 +658,24 @@ impl GraphScheduler {
             .collect();
 
         // Line 1: singleton groups on random workers (hash partition).
-        let mut bins = Bins::new(workers, rot, placer == Placer::Indexed);
+        let mut bins = Bins::new(workers, rot, load_aware);
         let mut group_of: Vec<usize> = (0..n).collect();
         // members[g] empty ⇒ group g was absorbed.
         let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        // Container demand Σ ⌈Scale(v)⌉ of each live group.
+        let mut group_demand = demand.clone();
         let mut worker_of_group: Vec<usize> = Vec::with_capacity(n);
-        for &node_demand in demand.iter().take(n) {
+        let mut feasible: Vec<usize> = Vec::new();
+        for &node_demand in &demand {
             let need = i64::from(node_demand);
-            let w = match placer {
-                Placer::Legacy => {
-                    let feasible: Vec<usize> = (0..workers.len())
-                        .filter(|&w| bins.cap[w] >= need)
-                        .collect();
-                    rng.pick(&feasible).copied()
-                }
+            let w = if load_aware {
                 // The least-loaded feasible worker: most residual capacity,
                 // then the calmest tail and memory, then the rotated index.
-                Placer::Indexed => bins.roomiest(need),
-                #[cfg(test)]
-                Placer::Scan => reference::place_initial(workers, &bins.cap, node_demand, rot),
+                bins.roomiest(need)
+            } else {
+                feasible.clear();
+                feasible.extend((0..workers.len()).filter(|&w| bins.cap[w] >= need));
+                rng.pick(&feasible).copied()
             }
             .ok_or_else(|| ScheduleError::InsufficientCapacity {
                 required: node_demand,
@@ -593,9 +689,9 @@ impl GraphScheduler {
         let mut storage_local = vec![false; n];
         let mut mem_consume: u64 = 0;
 
-        let group_demand =
-            |members: &[usize], demand: &[u32]| -> u32 { members.iter().map(|&m| demand[m]).sum() };
         let mut affinity: Option<Affinity> = None;
+        let mut paths = LongestPaths::new(dag, self.config.local_edge_weight);
+        let mut edges: Vec<EdgeId> = Vec::new();
 
         // Lines 3–26.
         let mut merges = 0;
@@ -604,20 +700,12 @@ impl GraphScheduler {
                 break;
             }
             // Line 4: critical path under effective weights.
-            let local_w = self.config.local_edge_weight;
-            let (_, cpath_edges) = dag.critical_path_with(|e| {
-                if group_of[e.from.index()] == group_of[e.to.index()] {
-                    local_w.min(e.weight)
-                } else {
-                    e.weight
-                }
-            });
+            paths.critical_edges(dag, &mut edges);
             // Line 5: descending weight.
-            let mut edges: Vec<EdgeId> = cpath_edges;
             edges.sort_by_key(|&e| Reverse(dag.edge(e).weight));
 
             let mut merged = false;
-            for eid in edges {
+            for &eid in &edges {
                 let e = dag.edge(eid);
                 let (fs, fe) = (e.from.index(), e.to.index());
                 let (gs, ge) = (group_of[fs], group_of[fe]);
@@ -626,8 +714,8 @@ impl GraphScheduler {
                 }
                 // Lines 10–12: capacity feasibility. Free both groups'
                 // demands, then check the best fit.
-                let n_start = i64::from(group_demand(&members[gs], &demand));
-                let n_end = i64::from(group_demand(&members[ge], &demand));
+                let n_start = i64::from(group_demand[gs]);
+                let n_end = i64::from(group_demand[ge]);
                 let need = n_start + n_end;
                 let (ws, we) = (worker_of_group[gs], worker_of_group[ge]);
                 let freed = |w: usize| {
@@ -640,7 +728,7 @@ impl GraphScheduler {
                     }
                     free
                 };
-                let fits_somewhere = if placer == Placer::Indexed {
+                let fits_somewhere = if load_aware {
                     // Freeing raises only ws and we, so the roomiest worker
                     // afterwards is one of them or the index's top.
                     freed(ws).max(freed(we)).max(bins.max_cap()) >= need
@@ -663,57 +751,54 @@ impl GraphScheduler {
                     storage_local[fs] = true;
                 }
                 // Lines 19–20: contention pairs must not be co-grouped.
-                let conflict = members[gs].iter().any(|&a| {
-                    members[ge]
-                        .iter()
-                        .any(|&b| contention.conflicts(FunctionId::from(a), FunctionId::from(b)))
-                });
+                let conflict = !contention.is_empty()
+                    && members[gs].iter().any(|&a| {
+                        members[ge].iter().any(|&b| {
+                            contention.conflicts(FunctionId::from(a), FunctionId::from(b))
+                        })
+                    });
                 if conflict {
                     continue;
                 }
-                // Line 21: bin-pack the merged group onto a worker.
-                bins.adjust(ws, n_start);
-                bins.adjust(we, n_end);
-                let target = match placer {
-                    Placer::Legacy => {
-                        let cap = &bins.cap;
-                        let candidates = (0..workers.len()).filter(|&w| cap[w] >= need);
-                        match self.config.placement {
-                            PlacementStrategy::BestFit => candidates.min_by_key(|&w| (cap[w], w)),
-                            PlacementStrategy::WorstFit => {
-                                candidates.max_by_key(|&w| (cap[w], Reverse(w)))
-                            }
+                // Line 21: bin-pack the merged group onto a worker. Most
+                // load-aware merges join two groups on one worker, so one
+                // index update frees both.
+                if ws == we {
+                    bins.adjust(ws, need);
+                } else {
+                    bins.adjust(ws, n_start);
+                    bins.adjust(we, n_end);
+                }
+                let target = if load_aware {
+                    let affinity = affinity.get_or_insert_with(|| Affinity::new(workers.len()));
+                    affinity.collect(dag, &group_of, &worker_of_group, gs, ge);
+                    let target = self.place_merged(&bins, affinity, need);
+                    affinity.clear();
+                    target
+                } else {
+                    let cap = &bins.cap;
+                    let candidates = (0..workers.len()).filter(|&w| cap[w] >= need);
+                    match self.config.placement {
+                        PlacementStrategy::BestFit => candidates.min_by_key(|&w| (cap[w], w)),
+                        PlacementStrategy::WorstFit => {
+                            candidates.max_by_key(|&w| (cap[w], Reverse(w)))
                         }
                     }
-                    Placer::Indexed => {
-                        let affinity = affinity.get_or_insert_with(|| Affinity::new(workers.len()));
-                        affinity.collect(dag, &group_of, &worker_of_group, gs, ge);
-                        let target = self.place_merged(&bins, affinity, need);
-                        affinity.clear();
-                        target
-                    }
-                    #[cfg(test)]
-                    Placer::Scan => reference::place_merged(
-                        &self.config,
-                        dag,
-                        workers,
-                        &bins.cap,
-                        &group_of,
-                        &worker_of_group,
-                        gs,
-                        ge,
-                        need,
-                        rot,
-                    ),
                 }
                 .expect("fits_somewhere guaranteed a target");
                 bins.adjust(target, -need);
                 // Lines 22–24: merge ge into gs.
+                if members[ge].len() <= members[gs].len() {
+                    paths.localise(dag, &group_of, &members[ge], gs);
+                } else {
+                    paths.localise(dag, &group_of, &members[gs], ge);
+                }
                 let moved = std::mem::take(&mut members[ge]);
                 for &m in &moved {
                     group_of[m] = gs;
                 }
                 members[gs].extend(moved);
+                group_demand[gs] += group_demand[ge];
                 worker_of_group[gs] = target;
                 merges += 1;
                 merged = true;
@@ -728,17 +813,15 @@ impl GraphScheduler {
         let mut groups = Vec::new();
         let mut group_ids = vec![GroupId::new(0); n];
         let mut node_of = vec![NodeId::new(0); n];
-        let mut next_gid = 0u32;
         for g in 0..n {
             if members[g].is_empty() {
                 continue;
             }
-            let gid = GroupId::new(next_gid);
-            next_gid += 1;
-            let mut ms: Vec<usize> = members[g].clone();
+            let gid = GroupId::new(groups.len() as u32);
+            let ms = &mut members[g];
             ms.sort_unstable();
             let worker = workers[worker_of_group[g]].node;
-            for &m in &ms {
+            for &m in ms.iter() {
                 group_ids[m] = gid;
                 node_of[m] = worker;
             }
@@ -746,7 +829,7 @@ impl GraphScheduler {
                 id: gid,
                 members: ms.iter().map(|&m| FunctionId::from(m)).collect(),
                 worker,
-                capacity_needed: group_demand(&members[g], &demand),
+                capacity_needed: group_demand[g],
             });
         }
 

@@ -147,6 +147,38 @@ pub struct DataEdge {
     pub bytes: u64,
 }
 
+/// Per-node lists of item indices in one flat buffer: row `v` is
+/// `items[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct IndexRows {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl IndexRows {
+    /// Rows for `rows` nodes from each item's row, in item order.
+    fn group(rows: usize, row_of: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut start = vec![0u32; rows + 1];
+        for r in row_of.clone() {
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; start[rows] as usize];
+        for (i, r) in row_of.enumerate() {
+            items[fill[r] as usize] = u32::try_from(i).expect("item index exceeds u32");
+            fill[r] += 1;
+        }
+        IndexRows { start, items }
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
+
 /// The parsed workflow graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkflowDag {
@@ -154,6 +186,10 @@ pub struct WorkflowDag {
     nodes: Vec<DagNode>,
     edges: Vec<DagEdge>,
     data_edges: Vec<DataEdge>,
+    /// Row v: indices into `data_edges` of the edges `v` consumes.
+    data_in: IndexRows,
+    /// Row v: indices into `data_edges` of the edges `v` produces.
+    data_out: IndexRows,
     /// successors[v] = (edge, target) pairs, in insertion order.
     successors: Vec<Vec<(EdgeId, FunctionId)>>,
     /// predecessors[v] = (edge, source) pairs, in insertion order.
@@ -182,11 +218,21 @@ impl WorkflowDag {
             successors[e.from.index()].push((e.id, e.to));
             predecessors[e.to.index()].push((e.id, e.from));
         }
+        assert!(
+            data_edges
+                .iter()
+                .all(|d| d.producer.index() < n && d.consumer.index() < n),
+            "data edge out of range"
+        );
+        let data_in = IndexRows::group(n, data_edges.iter().map(|d| d.consumer.index()));
+        let data_out = IndexRows::group(n, data_edges.iter().map(|d| d.producer.index()));
         let mut dag = WorkflowDag {
             name,
             nodes,
             edges,
             data_edges,
+            data_in,
+            data_out,
             successors,
             predecessors,
             topo: Vec::new(),
@@ -245,18 +291,22 @@ impl WorkflowDag {
         &self.data_edges
     }
 
-    /// Data edges consumed by `consumer`.
+    /// Data edges consumed by `consumer`, in [`WorkflowDag::data_edges`]
+    /// order.
     pub fn data_inputs(&self, consumer: FunctionId) -> impl Iterator<Item = &DataEdge> {
-        self.data_edges
+        self.data_in
+            .row(consumer.index())
             .iter()
-            .filter(move |d| d.consumer == consumer)
+            .map(|&i| &self.data_edges[i as usize])
     }
 
-    /// Data edges produced by `producer`.
+    /// Data edges produced by `producer`, in [`WorkflowDag::data_edges`]
+    /// order.
     pub fn data_outputs(&self, producer: FunctionId) -> impl Iterator<Item = &DataEdge> {
-        self.data_edges
+        self.data_out
+            .row(producer.index())
             .iter()
-            .filter(move |d| d.producer == producer)
+            .map(|&i| &self.data_edges[i as usize])
     }
 
     /// Control successors of `id` as `(edge, node)` pairs.
@@ -514,6 +564,28 @@ mod tests {
     fn total_data_bytes_sums_data_edges() {
         let dag = diamond();
         assert_eq!(dag.total_data_bytes(), 4000);
+    }
+
+    #[test]
+    fn data_adjacency_matches_a_scan_in_edge_order() {
+        let dag = diamond();
+        for i in 0..dag.node_count() {
+            let v = FunctionId::from(i);
+            let inputs: Vec<&DataEdge> = dag.data_inputs(v).collect();
+            let scan: Vec<&DataEdge> = dag
+                .data_edges()
+                .iter()
+                .filter(|d| d.consumer == v)
+                .collect();
+            assert_eq!(inputs, scan);
+            let outputs: Vec<&DataEdge> = dag.data_outputs(v).collect();
+            let scan: Vec<&DataEdge> = dag
+                .data_edges()
+                .iter()
+                .filter(|d| d.producer == v)
+                .collect();
+            assert_eq!(outputs, scan);
+        }
     }
 
     #[test]
